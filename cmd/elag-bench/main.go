@@ -16,12 +16,9 @@
 //	              ("-" for stdout), for the repo's BENCH_*.json trajectory
 //	-parallel N   fan benchmarks across N workers (results are byte-identical
 //	              at every setting; wall time is reported on stderr)
-//	-chunk N      stream traces in N-entry chunks instead of materializing
-//	              them (peak trace memory O(N) per worker; artifacts are
+//	-chunk N      stream traces in N-entry chunks (0, the default, means
+//	              4096; peak trace memory O(N) per worker; artifacts are
 //	              byte-identical at every setting)
-//	-nobatch      replay each grid cell in its own pass instead of batching
-//	              all configurations through one pass (for wall-time A/B;
-//	              artifacts are byte-identical either way)
 //	-nomemo       disable basic-block timing memoization (for wall-time A/B;
 //	              artifacts are byte-identical either way)
 //	-nospecialize disable config-specialized replay kernels (likewise
@@ -82,7 +79,6 @@ func main() {
 	servePath := flag.String("servebench", "", `run the service-path cache benchmark, write JSON to this file ("-" = stdout)`)
 	cacheOpts := cli.CacheFlags()
 	reps := flag.Int("reps", 5, "repetitions per workload for -compilebench (fastest wins)")
-	noBatch := flag.Bool("nobatch", false, "replay each grid cell in its own pass (disables batched replay)")
 	noMemo := flag.Bool("nomemo", false, "disable basic-block timing memoization (byte-identical artifacts)")
 	noSpec := flag.Bool("nospecialize", false, "disable config-specialized replay kernels (byte-identical artifacts)")
 	diff := flag.Bool("diff", false, "compare two bench JSON documents: elag-bench -diff old.json new.json")
@@ -118,8 +114,7 @@ func main() {
 		logw = nil
 	}
 	r := &harness.Runner{Fuel: *fuel, Log: logw, Parallel: perf.Parallel,
-		ChunkSize: perf.Chunk, NoBatch: *noBatch,
-		NoMemo: *noMemo, NoSpecialize: *noSpec,
+		ChunkSize: perf.Chunk, NoMemo: *noMemo, NoSpecialize: *noSpec,
 		Artifacts: cacheOpts.Open("elag-bench")}
 
 	if *servePath != "" {
@@ -213,57 +208,42 @@ func main() {
 		return
 	}
 
-	run := func(name string) {
-		switch name {
-		case "table2":
-			rows, err := r.Table2(ctx)
-			check("table2", err)
-			fmt.Print(harness.FormatTable2(rows))
-		case "table3":
-			rows, err := r.Table3(ctx)
-			check("table3", err)
-			fmt.Print(harness.FormatTable3(rows))
-		case "table4":
-			rows, err := r.Table4(ctx)
-			check("table4", err)
-			fmt.Print(harness.FormatTable4(rows))
-		case "fig5a":
-			fig, err := r.Figure5a(ctx)
-			check("fig5a", err)
-			fmt.Print(harness.FormatFigure(fig))
-		case "fig5b":
-			fig, err := r.Figure5b(ctx)
-			check("fig5b", err)
-			fmt.Print(harness.FormatFigure(fig))
-		case "fig5c":
-			fig, err := r.Figure5c(ctx)
-			check("fig5c", err)
-			fmt.Print(harness.FormatFigure(fig))
-		case "embedded":
-			rows, err := r.Embedded(ctx)
-			check("embedded", err)
-			fmt.Print(harness.FormatEmbedded(rows))
-		case "figmech":
-			fig, err := r.FigureMech(ctx)
-			check("figmech", err)
-			fmt.Print(harness.FormatFigure(fig))
-		default:
-			fmt.Fprintf(os.Stderr, "elag-bench: unknown experiment %q\n", name)
-			os.Exit(2)
+	// Text artifacts in print order; "all" prints every one but figmech.
+	texts := []struct {
+		name string
+		text func(doc *harness.BenchDocument) string
+	}{
+		{"table2", func(d *harness.BenchDocument) string { return harness.FormatTable2(d.Table2) }},
+		{"table3", func(d *harness.BenchDocument) string { return harness.FormatTable3(d.Table3) }},
+		{"fig5a", func(d *harness.BenchDocument) string { return harness.FormatFigure(d.Figure5a) }},
+		{"fig5b", func(d *harness.BenchDocument) string { return harness.FormatFigure(d.Figure5b) }},
+		{"fig5c", func(d *harness.BenchDocument) string { return harness.FormatFigure(d.Figure5c) }},
+		{"table4", func(d *harness.BenchDocument) string { return harness.FormatTable4(d.Table4) }},
+		{"embedded", func(d *harness.BenchDocument) string { return harness.FormatEmbedded(d.Embedded) }},
+		{"figmech", func(d *harness.BenchDocument) string { return harness.FormatFigure(d.FigureMech) }},
+	}
+	known := *exp == "all"
+	for _, t := range texts {
+		known = known || t.name == *exp
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "elag-bench: unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
+	// One plan runs every selected experiment: each benchmark is profiled
+	// once and replays all of its cells in one streamed pass.
+	doc, err := r.DocumentExp(ctx, *exp)
+	check(*exp, err)
+	for _, t := range texts {
+		if t.name != *exp && (*exp != "all" || t.name == "figmech") {
+			continue
 		}
+		if *exp == "all" && !*quiet {
+			fmt.Fprintf(os.Stderr, "== %s ==\n", strings.ToUpper(t.name))
+		}
+		fmt.Print(t.text(doc))
 		fmt.Println()
 	}
-
-	if *exp == "all" {
-		for _, name := range []string{"table2", "table3", "fig5a", "fig5b", "fig5c", "table4", "embedded"} {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "== %s ==\n", strings.ToUpper(name))
-			}
-			run(name)
-		}
-		return
-	}
-	run(*exp)
 }
 
 // checkPerf lets check report deadline/interrupt outcomes distinctly; set

@@ -5,9 +5,11 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -136,8 +138,11 @@ func TestForEachLabFirstErrorNoLeak(t *testing.T) {
 
 // TestGridCancelRerunDeterminism is the cancellation-determinism contract:
 // cancel a grid mid-run, then re-run it to completion on the same Runner
-// (same lab cache, same memoized state) — the output must be byte-identical
-// to a run that never saw a cancellation, at every parallelism level.
+// (same lab cache, same memoized cells) — the output must be
+// byte-identical to a run that never saw a cancellation, at every
+// parallelism level. Cancelling a Document mid-plan must leave no partial
+// cell memoized: a lab's cells all ride one pass, so each lab's memo is
+// either empty or exactly the uncancelled run's.
 func TestGridCancelRerunDeterminism(t *testing.T) {
 	ref := &Runner{Fuel: cancelFuel}
 	refRows, err := ref.Table2(context.Background())
@@ -145,6 +150,13 @@ func TestGridCancelRerunDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FormatTable2(refRows)
+	const docFuel = 15_000
+	refDocRunner := &Runner{Fuel: docFuel}
+	refDoc, err := refDocRunner.Document(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDoc := docJSON(t, refDoc)
 
 	for _, parallel := range []int{1, 4, 8} {
 		r := &Runner{Fuel: cancelFuel, Parallel: parallel}
@@ -178,5 +190,44 @@ func TestGridCancelRerunDeterminism(t *testing.T) {
 			t.Errorf("parallel=%d: re-run after cancel diverges from uncancelled run:\ngot:\n%s\nwant:\n%s",
 				parallel, got, want)
 		}
+
+		// Mid-plan: cancel a cold Document once its third kernel
+		// completes, while other workers are inside their kernels' lab
+		// builds or passes.
+		r = &Runner{Fuel: docFuel, Parallel: parallel}
+		ctx, cancel = context.WithCancel(context.Background())
+		r.Progress = func(_ string, done, _ int) {
+			if done == 3 {
+				cancel()
+			}
+		}
+		if _, err := r.Document(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallel=%d mid-plan cancel: err = %v, want Canceled", parallel, err)
+		}
+		cancel()
+		r.Progress = nil
+		for name, e := range r.labs {
+			memo, want := e.l.memo, refDocRunner.labs[name].l.memo
+			if len(memo) != 0 && !reflect.DeepEqual(memo, want) {
+				t.Errorf("parallel=%d: %s memoized a partial or wrong cell set after cancel:\ngot  %v\nwant %v",
+					parallel, name, memo, want)
+			}
+		}
+		doc, err := r.Document(context.Background())
+		if err != nil {
+			t.Fatalf("parallel=%d Document re-run: %v", parallel, err)
+		}
+		if got := docJSON(t, doc); !bytes.Equal(got, wantDoc) {
+			t.Errorf("parallel=%d: Document re-run after mid-plan cancel diverges", parallel)
+		}
 	}
+}
+
+func docJSON(t *testing.T, doc *BenchDocument) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteBenchJSON(&buf, doc); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -90,51 +90,34 @@ func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
 	return cw.Error()
 }
 
-// ExportCSV runs every experiment and writes one CSV per artifact into dir
-// via the provided create function (typically wrapping os.Create).
+// ExportCSV runs every tabulated experiment as one plan and writes one CSV
+// per artifact via the provided create function (typically wrapping
+// os.Create).
 func (r *Runner) ExportCSV(ctx context.Context, create func(name string) (io.WriteCloser, error)) error {
-	write := func(name string, fn func(io.Writer) error) error {
-		f, err := create(name)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		return f.Close()
-	}
-	t2, err := r.Table2(ctx)
+	doc, err := r.run(ctx, "table2", "table3", "table4", "fig5a", "fig5b", "fig5c")
 	if err != nil {
 		return err
 	}
-	if err := write("table2.csv", func(w io.Writer) error { return WriteTable2CSV(w, t2) }); err != nil {
-		return err
-	}
-	t3, err := r.Table3(ctx)
-	if err != nil {
-		return err
-	}
-	if err := write("table3.csv", func(w io.Writer) error { return WriteTable3CSV(w, t3) }); err != nil {
-		return err
-	}
-	t4, err := r.Table4(ctx)
-	if err != nil {
-		return err
-	}
-	if err := write("table4.csv", func(w io.Writer) error { return WriteTable4CSV(w, t4) }); err != nil {
-		return err
-	}
-	for name, fn := range map[string]func(context.Context) (*Figure, error){
-		"fig5a.csv": r.Figure5a,
-		"fig5b.csv": r.Figure5b,
-		"fig5c.csv": r.Figure5c,
+	for _, a := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"table2.csv", func(w io.Writer) error { return WriteTable2CSV(w, doc.Table2) }},
+		{"table3.csv", func(w io.Writer) error { return WriteTable3CSV(w, doc.Table3) }},
+		{"table4.csv", func(w io.Writer) error { return WriteTable4CSV(w, doc.Table4) }},
+		{"fig5a.csv", func(w io.Writer) error { return WriteFigureCSV(w, doc.Figure5a) }},
+		{"fig5b.csv", func(w io.Writer) error { return WriteFigureCSV(w, doc.Figure5b) }},
+		{"fig5c.csv", func(w io.Writer) error { return WriteFigureCSV(w, doc.Figure5c) }},
 	} {
-		fig, err := fn(ctx)
+		f, err := create(a.name)
 		if err != nil {
 			return err
 		}
-		if err := write(name, func(w io.Writer) error { return WriteFigureCSV(w, fig) }); err != nil {
+		if err := a.write(f); err != nil {
+			f.Close()
+			return fmt.Errorf("%s: %w", a.name, err)
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 	}

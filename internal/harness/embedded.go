@@ -67,39 +67,35 @@ type EmbeddedRow struct {
 
 // Embedded runs the Section 5.4 experiment over the MediaBench suite.
 func (r *Runner) Embedded(ctx context.Context) ([]EmbeddedRow, error) {
-	media := workload.BySuite(workload.Media)
-	rows := make([]EmbeddedRow, len(media))
-	err := r.forEachLabCached(ctx, "embedded", nil, media,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{
-				{Config: EmbeddedBase()},
-				{Config: EmbeddedCompiler(), Flavors: l.HeurFlavors},
-				{Config: EmbeddedHWDual()},
-			})
-			if err != nil {
-				return err
-			}
-			base, cc, hw := ms[0], ms[1], ms[2]
+	doc, err := r.run(ctx, "embedded")
+	return doc.Embedded, err
+}
+
+func embedded(doc *BenchDocument) *experiment {
+	rows := make([]EmbeddedRow, len(workload.BySuite(workload.Media)))
+	return &experiment{
+		name:  "embedded",
+		suite: workload.Media,
+		cells: []cell{{EmbeddedBase(), flavProgram}, {EmbeddedCompiler(), flavHeur}, {EmbeddedHWDual(), flavProgram}},
+		row:   func(i int) any { return &rows[i] },
+		fill: func(i int, l *Lab, c []int64) {
 			rows[i] = EmbeddedRow{
 				Name:            l.W.Name,
-				CompilerSpeedup: float64(base.Cycles) / float64(cc.Cycles),
-				HWDualSpeedup:   float64(base.Cycles) / float64(hw.Cycles),
+				CompilerSpeedup: speedup(c[0], c[1]),
+				HWDualSpeedup:   speedup(c[0], c[2]),
 			}
-			r.logf("%s done", l.W.Name)
+		},
+		finish: func() error {
+			var avg EmbeddedRow
+			for _, row := range rows {
+				avg.CompilerSpeedup += row.CompilerSpeedup / float64(len(rows))
+				avg.HWDualSpeedup += row.HWDualSpeedup / float64(len(rows))
+			}
+			avg.Name = "average"
+			doc.Embedded = append(rows, avg)
 			return nil
-		})
-	if err != nil {
-		return nil, err
+		},
 	}
-	var avg EmbeddedRow
-	for _, row := range rows {
-		avg.CompilerSpeedup += row.CompilerSpeedup / float64(len(media))
-		avg.HWDualSpeedup += row.HWDualSpeedup / float64(len(media))
-	}
-	avg.Name = "average"
-	rows = append(rows, avg)
-	return rows, nil
 }
 
 // FormatEmbedded renders the embedded experiment.

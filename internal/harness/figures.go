@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"elag/internal/isa"
 	"elag/internal/mech"
 	"elag/internal/pipeline"
 	"elag/internal/workload"
@@ -26,22 +25,12 @@ type Figure struct {
 	Series     []FigureSeries `json:"series"`
 }
 
-// seriesDef is one figure series, declared as data: a label, the hardware
-// configuration, and the flavour overlay drawn from the lab (nil for the
-// program's baked-in flavours). Declarative series let figure() replay a
-// benchmark's entire column of configurations in one batched pass.
+// seriesDef is one figure series, declared as data: a label and the cell
+// it plots, a hardware configuration under a flavour selector.
 type seriesDef struct {
 	label string
 	cfg   pipeline.Config
-	flav  func(l *Lab) isa.FlavorOverlay
-}
-
-func (s *seriesDef) spec(l *Lab) pipeline.BatchSpec {
-	sp := pipeline.BatchSpec{Config: s.cfg}
-	if s.flav != nil {
-		sp.Flavors = s.flav(l)
-	}
-	return sp
+	flav  flavor
 }
 
 // figureColumn is one benchmark's cacheable unit of a figure: its
@@ -51,63 +40,52 @@ type figureColumn struct {
 	Speedups []float64 `json:"speedups"`
 }
 
-func (r *Runner) figure(ctx context.Context, exp, title string, suite workload.Suite, series []seriesDef) (*Figure, error) {
-	fig := &Figure{Title: title}
-	benches := workload.BySuite(suite)
-	for _, w := range benches {
-		fig.Benchmarks = append(fig.Benchmarks, w.Name)
-	}
+// figure declares a SPEC-suite figure: one cell per series plus the base,
+// each series point the speedup of its cell over the base. The finished
+// figure is stored in *dst.
+func figure(dst **Figure, name, title string, series []seriesDef) *experiment {
+	benches := workload.BySuite(workload.SPEC)
 	labels := make([]string, len(series))
+	cells := []cell{baseCell}
 	for i, s := range series {
-		fig.Series = append(fig.Series, FigureSeries{Label: s.label, Speedups: map[string]float64{}})
 		labels[i] = s.label
+		cells = append(cells, cell{s.cfg, s.flav})
 	}
-	// One benchmark's column of cells is a single unit of work (and of
-	// caching): its lab (and trace) is built once and all series
-	// configurations advance through the trace in a single batched pass.
 	cols := make([]figureColumn, len(benches))
-	err := r.forEachLabCached(ctx, exp, labels, benches,
-		func(i int) any { return &cols[i] },
-		func(ctx context.Context, bi int, l *Lab) error {
-			base, err := l.BaseCycles(ctx)
-			if err != nil {
-				return fmt.Errorf("%s: base: %w", l.W.Name, err)
+	return &experiment{
+		name:   name,
+		series: labels,
+		suite:  workload.SPEC,
+		cells:  cells,
+		row:    func(i int) any { return &cols[i] },
+		fill: func(i int, _ *Lab, c []int64) {
+			cols[i].Speedups = make([]float64, len(series))
+			for k := range series {
+				cols[i].Speedups[k] = speedup(c[0], c[k+1])
 			}
-			specs := make([]pipeline.BatchSpec, len(series))
-			for i := range series {
-				specs[i] = series[i].spec(l)
+		},
+		finish: func() error {
+			fig := &Figure{Title: title}
+			for _, s := range series {
+				fig.Series = append(fig.Series, FigureSeries{Label: s.label, Speedups: map[string]float64{}})
 			}
-			ms, err := l.SimulateBatch(ctx, specs)
-			if err != nil {
-				return fmt.Errorf("%s: %w", l.W.Name, err)
-			}
-			sp := make([]float64, len(series))
-			for i, m := range ms {
-				if m.Cycles == 0 {
-					return fmt.Errorf("%s/%s: zero cycles", series[i].label, l.W.Name)
+			// Aggregate in benchmark order: averages sum in a fixed
+			// order, so they are bit-identical at every worker count.
+			for bi, w := range benches {
+				fig.Benchmarks = append(fig.Benchmarks, w.Name)
+				if len(cols[bi].Speedups) != len(series) {
+					return fmt.Errorf("%s: cached column has %d series, want %d (stale artifact schema?)",
+						w.Name, len(cols[bi].Speedups), len(series))
 				}
-				sp[i] = float64(base) / float64(m.Cycles)
+				for i, sp := range cols[bi].Speedups {
+					fig.Series[i].Speedups[w.Name] = sp
+					fig.Series[i].Average += sp / float64(len(benches))
+				}
 			}
-			cols[bi].Speedups = sp
-			r.logf("%s done", l.W.Name)
+			*dst = fig
 			return nil
-		})
-	if err != nil {
-		return nil, err
+		},
 	}
-	// Aggregate in benchmark order, off the worker pool: averages sum in
-	// a fixed order, so they are bit-identical at every worker count.
-	for bi, w := range benches {
-		if len(cols[bi].Speedups) != len(series) {
-			return nil, fmt.Errorf("%s: cached column has %d series, want %d (stale artifact schema?)",
-				w.Name, len(cols[bi].Speedups), len(series))
-		}
-		for i, sp := range cols[bi].Speedups {
-			fig.Series[i].Speedups[w.Name] = sp
-			fig.Series[i].Average += sp / float64(len(benches))
-		}
-	}
-	return fig, nil
 }
 
 // Figure5aSizes are the prediction-table sizes swept by Figure 5a. The
@@ -122,16 +100,19 @@ var Figure5aSizes = []int{8, 16, 32}
 // compiler support only PD-classified loads are allocated entries; without
 // it, every load competes for the table.
 func (r *Runner) Figure5a(ctx context.Context) (*Figure, error) {
+	doc, err := r.run(ctx, "fig5a")
+	return doc.Figure5a, err
+}
+
+func figure5a(doc *BenchDocument) *experiment {
 	var series []seriesDef
 	for _, size := range Figure5aSizes {
 		series = append(series,
 			seriesDef{label: fmt.Sprintf("hw-only %d", size), cfg: HWPredict(size)},
-			seriesDef{label: fmt.Sprintf("compiler %d", size), cfg: CompilerPredict(size),
-				flav: (*Lab).heurFlavors},
+			seriesDef{label: fmt.Sprintf("compiler %d", size), cfg: CompilerPredict(size), flav: flavHeur},
 		)
 	}
-	return r.figure(ctx, "fig5a", "Figure 5a: table-based address prediction only (scaled sizes)",
-		workload.SPEC, series)
+	return figure(&doc.Figure5a, "fig5a", "Figure 5a: table-based address prediction only (scaled sizes)", series)
 }
 
 // Figure5bSizes are the register-cache sizes swept by Figure 5b, scaled
@@ -143,6 +124,11 @@ var Figure5bSizes = []int{1, 2, 4}
 // Figure5b reproduces Figure 5b: speedup from hardware-only early address
 // calculation across register-cache sizes.
 func (r *Runner) Figure5b(ctx context.Context) (*Figure, error) {
+	doc, err := r.run(ctx, "fig5b")
+	return doc.Figure5b, err
+}
+
+func figure5b(doc *BenchDocument) *experiment {
 	var series []seriesDef
 	for _, n := range Figure5bSizes {
 		series = append(series, seriesDef{
@@ -150,22 +136,26 @@ func (r *Runner) Figure5b(ctx context.Context) (*Figure, error) {
 			cfg:   HWEarly(n),
 		})
 	}
-	return r.figure(ctx, "fig5b", "Figure 5b: early address calculation only (scaled sizes)",
-		workload.SPEC, series)
+	return figure(&doc.Figure5b, "fig5b", "Figure 5b: early address calculation only (scaled sizes)", series)
 }
 
 // Figure5c reproduces Figure 5c: the largest hardware-only configurations
 // against the dual-path scheme without compiler support, with compiler
 // heuristics, and with heuristics plus address profiling.
 func (r *Runner) Figure5c(ctx context.Context) (*Figure, error) {
+	doc, err := r.run(ctx, "fig5c")
+	return doc.Figure5c, err
+}
+
+func figure5c(doc *BenchDocument) *experiment {
 	series := []seriesDef{
 		{label: "hw-predict 256", cfg: HWPredict(256)},
 		{label: "hw-early 16", cfg: HWEarly(16)},
 		{label: "hw-dual", cfg: HWDual(256, 16)},
-		{label: "compiler dual", cfg: CompilerDual(), flav: (*Lab).heurFlavors},
-		{label: "compiler dual+profile", cfg: CompilerDual(), flav: (*Lab).reclassFlavors},
+		{label: "compiler dual", cfg: CompilerDual(), flav: flavHeur},
+		{label: "compiler dual+profile", cfg: CompilerDual(), flav: flavReclass},
 	}
-	return r.figure(ctx, "fig5c", "Figure 5c: dual-path early address generation", workload.SPEC, series)
+	return figure(&doc.Figure5c, "fig5c", "Figure 5c: dual-path early address generation", series)
 }
 
 // MechFigureSpecs are the assist mechanisms FigureMech compares, at their
@@ -183,6 +173,11 @@ var MechFigureSpecs = []mech.Spec{
 // no compiler support — they drive every load — so they bracket how much
 // of the paper's win is the table geometry versus the classification.
 func (r *Runner) FigureMech(ctx context.Context) (*Figure, error) {
+	doc, err := r.run(ctx, "figmech")
+	return doc.FigureMech, err
+}
+
+func figureMech(doc *BenchDocument) *experiment {
 	series := []seriesDef{
 		{label: "hw-predict 256", cfg: HWPredict(256)},
 	}
@@ -190,10 +185,9 @@ func (r *Runner) FigureMech(ctx context.Context) (*Figure, error) {
 		series = append(series, seriesDef{label: sp.String(), cfg: Assist(sp)})
 	}
 	series = append(series,
-		seriesDef{label: "compiler dual", cfg: CompilerDual(), flav: (*Lab).heurFlavors})
-	return r.figure(ctx, "figmech",
-		"Figure M: pluggable load-acceleration mechanisms (speedup over base)",
-		workload.SPEC, series)
+		seriesDef{label: "compiler dual", cfg: CompilerDual(), flav: flavHeur})
+	return figure(&doc.FigureMech, "figmech",
+		"Figure M: pluggable load-acceleration mechanisms (speedup over base)", series)
 }
 
 // FormatFigure renders a figure as an aligned text table (benchmarks down,

@@ -4,20 +4,27 @@
 // replayed under every hardware configuration, exactly like the paper's
 // emulation-driven methodology.
 //
-// Experiments optionally fan out across a worker pool (Runner.Parallel)
-// with benchmark affinity: one worker owns a benchmark's whole column of
-// (benchmark, configuration) cells, so each multi-megabyte trace is built
-// once and stays worker-local. Labs are immutable after construction —
-// per-simulation load flavours travel as overlays, never as program
-// mutations — so every cell is data-race-free and the results (cycle
-// counts, speedups, averages) are bit-identical at any parallelism level.
+// Experiments are declared as data — the (configuration, flavours) cells
+// each benchmark needs and how its row is filled from their cycles — and a
+// planner runs them: the union of every requested experiment's missing
+// cells per benchmark replays in one streamed pass, and a cell already
+// simulated on a lab is never simulated again. Benchmarks fan out across a
+// worker pool (Runner.Parallel) with benchmark affinity: one worker owns a
+// benchmark's whole column of cells. Labs are immutable after
+// construction — per-simulation load flavours travel as overlays, never as
+// program mutations — so every cell is data-race-free and the results
+// (cycle counts, speedups, averages) are bit-identical at any parallelism
+// level and chunk size.
 package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"sync"
 
 	"elag"
@@ -46,23 +53,11 @@ type Runner struct {
 	// serially. Results are identical at every setting — parallelism
 	// changes wall time only.
 	Parallel int
-	// MaxResident bounds how many labs (each holding a multi-megabyte
-	// trace) stay cached; 0 derives a bound from Parallel. Labs in use
-	// are never invalidated by eviction — the cache only drops its own
-	// reference.
-	MaxResident int
-	// ChunkSize, when > 0, puts labs in streaming mode: the dynamic trace
-	// is never materialized, and every simulation re-streams the
-	// architectural execution in chunks of this many entries (peak trace
-	// memory O(ChunkSize), enabling fuel budgets whose traces could never
-	// fit in memory). 0 keeps the trace resident and walks it in
-	// emu.DefaultChunkSize windows. Results are bit-identical either way.
+	// ChunkSize is the streaming chunk size: every replay pass re-streams
+	// the architectural execution in chunks of this many entries, so peak
+	// trace memory is O(ChunkSize) at any fuel. 0 means
+	// emu.DefaultChunkSize. Results are bit-identical at every setting.
 	ChunkSize int
-	// NoBatch disables batched multi-configuration replay: each grid cell
-	// replays the trace in its own pass, as the pre-batching engine did.
-	// Results are bit-identical with batching on or off; the switch exists
-	// for wall-time comparison and the determinism tests.
-	NoBatch bool
 	// NoMemo disables basic-block timing memoization in every simulation
 	// this runner starts; NoSpecialize disables the config-specialized
 	// replay kernels. Results are byte-identical at every setting — both
@@ -81,27 +76,27 @@ type Runner struct {
 	// which preserves float64 bits exactly — documents built from cached
 	// rows are byte-identical to cold ones.
 	Artifacts *artifact.Store
-	// Progress, when non-nil, is called after each benchmark column of a
-	// grid experiment completes, with the benchmark name and the
-	// done/total counts for that experiment. Called from grid worker
-	// goroutines; must be cheap and concurrency-safe.
+	// Progress, when non-nil, is called after each planned benchmark of
+	// an experiment run completes, with the benchmark name and the
+	// done/total counts over the benchmarks that run had to compute. A
+	// Document is one run, so its counts span every experiment in it.
+	// Called from grid worker goroutines; must be cheap and
+	// concurrency-safe.
 	Progress func(bench string, done, total int)
 
 	logMu sync.Mutex
 
-	labMu  sync.Mutex
-	labs   map[string]*labEntry
-	labSeq int64
+	labMu sync.Mutex
+	labs  map[string]*labEntry
 }
 
 // labEntry is one cache slot. ready is closed once l/err are set;
 // concurrent requests for the same benchmark wait on it instead of
 // building twice (single-flight).
 type labEntry struct {
-	ready   chan struct{}
-	l       *Lab
-	err     error
-	lastUse int64
+	ready chan struct{}
+	l     *Lab
+	err   error
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -120,24 +115,13 @@ func (r *Runner) workers() int {
 	return 1
 }
 
-// maxResident returns the lab-cache bound: at least one lab per worker
-// plus one, so affinity-scheduled grids never thrash their own columns.
-func (r *Runner) maxResident() int {
-	if r.MaxResident > 0 {
-		return r.MaxResident
-	}
-	n := r.workers() + 1
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-// Lab is one benchmark prepared for experiments: compiled, classified,
-// profiled, and traced. A Lab is immutable once built — simulations pick a
-// classification by passing one of the flavour overlays (or nil for the
-// program's baked-in flavours), and any number of simulations may share
-// the lab concurrently.
+// Lab is one benchmark prepared for experiments: compiled, classified and
+// profiled. It holds no trace: every replay pass re-streams the
+// architectural execution, so a lab costs about a hundred kilobytes at any
+// fuel. A Lab is immutable once built apart from its cell memo —
+// simulations pick a classification by passing one of the flavour
+// overlays (or nil for the program's baked-in flavours), and any number of
+// simulations may share the lab concurrently.
 type Lab struct {
 	W *workload.Workload
 	// Prog is the compiled program. Its instruction stream is never
@@ -153,35 +137,32 @@ type Lab struct {
 	ReclassFlavors isa.FlavorOverlay
 	// Profile holds per-load unlimited-table prediction rates.
 	Profile *profile.LoadProfile
-	// Trace is the architectural dynamic trace replayed by the timing
-	// model. In streaming mode (Runner.ChunkSize > 0) it is nil — each
-	// simulation re-streams the execution instead — so peak memory stays
-	// O(chunk) regardless of fuel. EmuRes summarizes the architectural
-	// run in both modes.
-	Trace  *emu.Trace
+	// EmuRes summarizes the architectural run. The profiler's run is a
+	// complete architectural execution under the runner's fuel, so it
+	// stands for every replay pass's.
 	EmuRes emu.Result
 
 	fuel     int64     // runner fuel, for streaming re-emulation
-	chunk    int       // streaming chunk size (0 = materialized)
-	noBatch  bool      // per-cell sequential replay (Runner.NoBatch)
+	chunk    int       // streaming chunk size
 	noMemo   bool      // Runner.NoMemo
 	noSpec   bool      // Runner.NoSpecialize
 	counters *Counters // work telemetry (Runner.Counters; may be nil)
 
-	baseMu     sync.Mutex
-	baseDone   bool
-	baseCycles int64
+	// cellMu serializes cycles calls, so each cell runs at most once;
+	// memo maps cell keys to cycle counts of passes that succeeded.
+	cellMu sync.Mutex
+	memo   map[string]int64
 }
 
-// Lab prepares the lab for one workload, returning a cached one when
+// Lab prepares the lab for one workload, returning the cached one when
 // available. Concurrent callers requesting the same benchmark share one
-// build; distinct benchmarks build independently. The cache keeps at most
-// maxResident labs, evicting least-recently-used ones.
+// build; distinct benchmarks build independently. The runner keeps every
+// lab it builds: a lab holds no trace, so all 25 fit in a few megabytes.
 //
-// ctx bounds the build (compile, profile, trace): a cancelled ctx aborts
-// with the ctx error. When the single-flight build a caller was waiting on
-// fails because the *builder's* ctx was cancelled, a waiter whose own ctx
-// is still live retries the build instead of inheriting the cancellation —
+// ctx bounds the build (compile, profile): a cancelled ctx aborts with the
+// ctx error. When the single-flight build a caller was waiting on fails
+// because the *builder's* ctx was cancelled, a waiter whose own ctx is
+// still live retries the build instead of inheriting the cancellation —
 // one caller's deadline never fails another caller's request.
 func (r *Runner) Lab(ctx context.Context, w *workload.Workload) (*Lab, error) {
 	for {
@@ -206,9 +187,7 @@ func (r *Runner) labOnce(ctx context.Context, w *workload.Workload) (*Lab, error
 	if r.labs == nil {
 		r.labs = make(map[string]*labEntry)
 	}
-	r.labSeq++
 	if e, ok := r.labs[w.Name]; ok {
-		e.lastUse = r.labSeq
 		r.labMu.Unlock()
 		if r.Counters != nil {
 			r.Counters.LabHits.Add(1)
@@ -219,46 +198,19 @@ func (r *Runner) labOnce(ctx context.Context, w *workload.Workload) (*Lab, error
 	if r.Counters != nil {
 		r.Counters.LabMisses.Add(1)
 	}
-	e := &labEntry{ready: make(chan struct{}), lastUse: r.labSeq}
+	e := &labEntry{ready: make(chan struct{})}
 	r.labs[w.Name] = e
-	r.evictLocked()
 	r.labMu.Unlock()
 
 	e.l, e.err = r.buildLab(ctx, w)
 	if e.err != nil {
 		// Do not cache failures: a later retry rebuilds.
 		r.labMu.Lock()
-		if r.labs[w.Name] == e {
-			delete(r.labs, w.Name)
-		}
+		delete(r.labs, w.Name)
 		r.labMu.Unlock()
 	}
 	close(e.ready)
 	return e.l, e.err
-}
-
-// evictLocked drops least-recently-used ready entries until the cache fits
-// the bound. In-flight builds are never evicted. Callers hold labMu.
-func (r *Runner) evictLocked() {
-	max := r.maxResident()
-	for len(r.labs) > max {
-		var victim string
-		var oldest int64
-		for name, e := range r.labs {
-			select {
-			case <-e.ready:
-			default:
-				continue // still building
-			}
-			if victim == "" || e.lastUse < oldest {
-				victim, oldest = name, e.lastUse
-			}
-		}
-		if victim == "" {
-			return
-		}
-		delete(r.labs, victim)
-	}
 }
 
 func (r *Runner) buildLab(ctx context.Context, w *workload.Workload) (*Lab, error) {
@@ -267,96 +219,43 @@ func (r *Runner) buildLab(ctx context.Context, w *workload.Workload) (*Lab, erro
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	l := &Lab{W: w, Prog: p, Heur: p.Classes,
-		fuel: r.Fuel, chunk: r.ChunkSize, noBatch: r.NoBatch,
-		noMemo: r.NoMemo, noSpec: r.NoSpecialize, counters: r.Counters}
-
-	lp, profRes, err := profile.CollectContext(ctx, p.Machine, r.Fuel)
+	lp, res, err := profile.CollectContext(ctx, p.Machine, r.Fuel)
 	if err != nil && !errors.Is(err, emu.ErrFuel) {
 		return nil, fmt.Errorf("%s: profile: %w", w.Name, err)
 	}
-	l.Profile = lp
+	chunk := r.ChunkSize
+	if chunk <= 0 {
+		chunk = emu.DefaultChunkSize
+	}
+	l := &Lab{W: w, Prog: p, Heur: p.Classes, Profile: lp, EmuRes: res,
+		fuel: r.Fuel, chunk: chunk, noMemo: r.NoMemo, noSpec: r.NoSpecialize,
+		counters: r.Counters}
 	l.Reclass = core.Reclassify(l.Heur, lp.Rates(), 0)
 	l.HeurFlavors = l.Heur.Overlay(p.Machine)
 	l.ReclassFlavors = l.Reclass.Overlay(p.Machine)
-
-	if r.ChunkSize > 0 {
-		// Streaming mode: no materialized trace. The profiler's run is a
-		// complete architectural execution under the same fuel, so its
-		// Result stands in for the trace run's.
-		l.EmuRes = profRes
-		return l, nil
-	}
-	// The profiler already emulated this program under the same fuel, so
-	// its retired-instruction count sizes the trace columns exactly.
-	res, trace, err := emu.RunTraceHintContext(ctx, p.Machine, r.Fuel, profRes.DynamicInsts)
-	if err != nil && !errors.Is(err, emu.ErrFuel) {
-		return nil, fmt.Errorf("%s: trace: %w", w.Name, err)
-	}
-	l.Trace = trace
-	l.EmuRes = res
 	return l, nil
 }
 
-// Simulate replays the cached trace under cfg. flavors selects the load
+// Simulate replays the benchmark under cfg. flavors selects the load
 // classification (l.HeurFlavors, l.ReclassFlavors, or nil for the
 // program's baked-in flavours). ctx cancels the replay between chunks;
 // an uncancelled replay is byte-identical at every chunk setting.
 func (l *Lab) Simulate(ctx context.Context, cfg pipeline.Config, flavors isa.FlavorOverlay) (*pipeline.Metrics, error) {
-	return l.SimulateObserved(ctx, cfg, flavors, nil, false)
-}
-
-// SimulateObserved replays the cached trace under cfg with observability
-// attached: sink (may be nil) receives the cycle-level event stream, and
-// perPC enables the per-PC load attribution table on the returned Metrics.
-// Observation never changes the timing result.
-func (l *Lab) SimulateObserved(ctx context.Context, cfg pipeline.Config, flavors isa.FlavorOverlay,
-	sink pipeline.EventSink, perPC bool) (*pipeline.Metrics, error) {
-	ms, err := l.replayBatch(ctx, []pipeline.BatchSpec{{Config: cfg, Flavors: flavors}},
-		func(_ int, sim *pipeline.Sim) {
-			if perPC {
-				sim.EnablePerPC()
-			}
-			if sink != nil {
-				sim.AttachSink(sink)
-			}
-		})
+	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: cfg, Flavors: flavors}})
 	if err != nil {
 		return nil, err
 	}
 	return ms[0], nil
 }
 
-// SimulateBatch replays the benchmark's trace under every spec in a single
-// pass — one trace iteration shared by all configurations, each chunk
-// cache-hot across the whole batch — returning metrics in spec order.
-// Results are bit-identical to len(specs) Simulate calls. Under
-// Runner.NoBatch each spec gets its own pass instead (same results, the
-// pre-batching wall time).
+// SimulateBatch is the lab's replay engine: it replays the benchmark under
+// every spec in a single pass — one architectural execution, re-emulated
+// through recycled chunks and never materialized, shared by all
+// configurations, each chunk cache-hot across the whole batch — returning
+// metrics in spec order. Results are bit-identical to len(specs) Simulate
+// calls. Cancellation is checked between chunks, so every job through the
+// lab honors its deadline within one chunk of work.
 func (l *Lab) SimulateBatch(ctx context.Context, specs []pipeline.BatchSpec) ([]*pipeline.Metrics, error) {
-	if l.noBatch {
-		ms := make([]*pipeline.Metrics, len(specs))
-		for i, sp := range specs {
-			m, err := l.replayBatch(ctx, specs[i:i+1], nil)
-			if err != nil {
-				return nil, fmt.Errorf("%s: spec %d %v: %w", l.W.Name, i, sp.Config.Select, err)
-			}
-			ms[i] = m[0]
-		}
-		return ms, nil
-	}
-	return l.replayBatch(ctx, specs, nil)
-}
-
-// replayBatch is the lab's replay engine: every simulation — single or
-// batched, materialized or streaming — funnels through here. attach (may be
-// nil) customizes each Sim before the first instruction. In materialized
-// mode the cached trace is walked in chunk windows with every Sim advanced
-// per window; in streaming mode (Runner.ChunkSize > 0) the architectural
-// execution is re-emulated through recycled chunks and never materialized.
-// Cancellation is checked between chunks in both modes, so every job
-// through the lab honors its deadline within one chunk of work.
-func (l *Lab) replayBatch(ctx context.Context, specs []pipeline.BatchSpec, attach func(i int, sim *pipeline.Sim)) ([]*pipeline.Metrics, error) {
 	sims, err := pipeline.NewBatch(l.Prog.Machine, specs)
 	if err != nil {
 		return nil, err
@@ -365,12 +264,7 @@ func (l *Lab) replayBatch(ctx context.Context, specs []pipeline.BatchSpec, attac
 		sim.SetNoMemo(l.noMemo)
 		sim.SetNoSpecialize(l.noSpec)
 	}
-	if attach != nil {
-		for i, sim := range sims {
-			attach(i, sim)
-		}
-	}
-	run := func(chunk *emu.Trace) error {
+	_, err = emu.StreamTraceContext(ctx, l.Prog.Machine, l.fuel, l.chunk, func(chunk *emu.Trace) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -379,20 +273,9 @@ func (l *Lab) replayBatch(ctx context.Context, specs []pipeline.BatchSpec, attac
 		}
 		l.counters.CountChunk(chunk.Len())
 		return nil
-	}
-	if l.Trace != nil {
-		chunk := l.chunk
-		if chunk <= 0 {
-			chunk = emu.DefaultChunkSize
-		}
-		if err := l.Trace.Chunks(chunk, run); err != nil {
-			return nil, err
-		}
-	} else {
-		_, err := emu.StreamTraceContext(ctx, l.Prog.Machine, l.fuel, l.chunk, run)
-		if err != nil && !errors.Is(err, emu.ErrFuel) {
-			return nil, err
-		}
+	})
+	if err != nil && !errors.Is(err, emu.ErrFuel) {
+		return nil, err
 	}
 	ms := make([]*pipeline.Metrics, len(sims))
 	for i, sim := range sims {
@@ -405,47 +288,103 @@ func (l *Lab) replayBatch(ctx context.Context, specs []pipeline.BatchSpec, attac
 	return ms, nil
 }
 
-// heurFlavors / reclassFlavors are accessor forms of the overlay fields,
-// usable as method expressions in declarative series/spec tables.
-func (l *Lab) heurFlavors() isa.FlavorOverlay    { return l.HeurFlavors }
-func (l *Lab) reclassFlavors() isa.FlavorOverlay { return l.ReclassFlavors }
+// flavor selects the load classification a cell simulates under.
+type flavor uint8
 
-// BaseCycles returns (memoizing) the cycle count of the base architecture,
-// the denominator of every speedup in Section 5. Safe for concurrent use;
-// the base simulation runs at most once per lab. Only success is memoized:
-// a simulation cancelled by ctx returns the ctx error without poisoning
-// the lab, so a later caller (or the same grid re-run) computes the value
-// fresh — cached labs stay byte-identical across cancel-and-retry.
+const (
+	flavProgram flavor = iota // the program's baked-in flavours
+	flavHeur                  // Lab.HeurFlavors: the Section 4 heuristics
+	flavReclass               // Lab.ReclassFlavors: plus the Section 4.3 profile
+)
+
+// overlay returns the flavour overlay f selects on l.
+func (l *Lab) overlay(f flavor) isa.FlavorOverlay {
+	switch f {
+	case flavHeur:
+		return l.HeurFlavors
+	case flavReclass:
+		return l.ReclassFlavors
+	}
+	return nil
+}
+
+// cell is one memoizable simulation of a lab: a hardware configuration
+// under a flavour selector.
+type cell struct {
+	cfg  pipeline.Config
+	flav flavor
+}
+
+// baseCell is the base architecture, the denominator of every speedup in
+// Section 5.
+var baseCell = cell{cfg: pipeline.PaperBase()}
+
+// key is the cell's canonical identity: the configuration's JSON encoding,
+// which follows pointers and spells equal configurations identically, plus
+// the selector.
+func (c cell) key() string {
+	b, err := json.Marshal(c.cfg)
+	if err != nil {
+		panic(err) // Config is plain data
+	}
+	return string(b) + "/" + strconv.Itoa(int(c.flav))
+}
+
+// cycles returns each cell's cycle count. Cells the lab has not simulated
+// yet run together in one SimulateBatch pass, duplicates once; a pass that
+// fails (a cancelled ctx included) memoizes nothing, so a cancelled call
+// leaves the lab exactly as it found it. Safe for concurrent use.
+func (l *Lab) cycles(ctx context.Context, cells []cell) ([]int64, error) {
+	l.cellMu.Lock()
+	defer l.cellMu.Unlock()
+	keys := make([]string, len(cells))
+	var specs []pipeline.BatchSpec
+	var missing []string
+	for i, c := range cells {
+		keys[i] = c.key()
+		if _, ok := l.memo[keys[i]]; ok || slices.Contains(missing, keys[i]) {
+			continue
+		}
+		specs = append(specs, pipeline.BatchSpec{Config: c.cfg, Flavors: l.overlay(c.flav)})
+		missing = append(missing, keys[i])
+	}
+	if len(specs) > 0 {
+		ms, err := l.SimulateBatch(ctx, specs)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", l.W.Name, err)
+		}
+		for _, m := range ms {
+			if m.Cycles == 0 {
+				return nil, fmt.Errorf("%s: zero cycles", l.W.Name)
+			}
+		}
+		if l.memo == nil {
+			l.memo = make(map[string]int64)
+		}
+		for i, m := range ms {
+			l.memo[missing[i]] = m.Cycles
+		}
+	}
+	out := make([]int64, len(cells))
+	for i, k := range keys {
+		out[i] = l.memo[k]
+	}
+	return out, nil
+}
+
+// BaseCycles returns the cycle count of the base architecture, the
+// denominator of every speedup in Section 5. It is the lab's base cell, so
+// it runs at most once per lab, and only success is memoized.
 func (l *Lab) BaseCycles(ctx context.Context) (int64, error) {
-	l.baseMu.Lock()
-	defer l.baseMu.Unlock()
-	if l.baseDone {
-		return l.baseCycles, nil
-	}
-	m, err := l.Simulate(ctx, pipeline.PaperBase(), nil)
+	c, err := l.cycles(ctx, []cell{baseCell})
 	if err != nil {
 		return 0, err
 	}
-	l.baseCycles = m.Cycles
-	l.baseDone = true
-	return l.baseCycles, nil
+	return c[0], nil
 }
 
-// Speedup simulates cfg under flavors and returns baseCycles/cycles.
-func (l *Lab) Speedup(ctx context.Context, cfg pipeline.Config, flavors isa.FlavorOverlay) (float64, error) {
-	base, err := l.BaseCycles(ctx)
-	if err != nil {
-		return 0, err
-	}
-	m, err := l.Simulate(ctx, cfg, flavors)
-	if err != nil {
-		return 0, err
-	}
-	if m.Cycles == 0 {
-		return 0, fmt.Errorf("%s: zero cycles", l.W.Name)
-	}
-	return float64(base) / float64(m.Cycles), nil
-}
+// speedup is the Section 5 speedup of a cell over its base.
+func speedup(base, cycles int64) float64 { return float64(base) / float64(cycles) }
 
 // Standard hardware configurations of Section 5, expressed through the
 // mechanism registry (internal/mech): pipeline.New normalizes each paper

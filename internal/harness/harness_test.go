@@ -27,11 +27,8 @@ func TestLabPreparesEverything(t *testing.T) {
 	if l.Heur == nil || l.Reclass == nil || l.Profile == nil {
 		t.Fatalf("lab incomplete")
 	}
-	if l.Trace.Len() == 0 {
-		t.Fatalf("no trace collected")
-	}
-	if int64(l.Trace.Len()) != l.EmuRes.DynamicInsts {
-		t.Fatalf("trace length %d != retired %d", l.Trace.Len(), l.EmuRes.DynamicInsts)
+	if l.EmuRes.DynamicInsts == 0 {
+		t.Fatalf("no instructions retired")
 	}
 	base, err := l.BaseCycles(ctx)
 	if err != nil {
@@ -39,6 +36,14 @@ func TestLabPreparesEverything(t *testing.T) {
 	}
 	if base <= 0 {
 		t.Fatalf("base cycles = %d", base)
+	}
+	// A streamed replay retires exactly the profile run's instructions.
+	m, err := l.Simulate(ctx, harness.CompilerDual(), l.HeurFlavors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Insts != l.EmuRes.DynamicInsts {
+		t.Fatalf("replay retired %d, profile run retired %d", m.Insts, l.EmuRes.DynamicInsts)
 	}
 	// Lab caching: same pointer for the same workload.
 	l2, err := r.Lab(ctx, workload.Get("023.eqntott"))
@@ -56,10 +61,15 @@ func TestSpeedupsAtLeastNotAbsurd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := l.Speedup(ctx, harness.CompilerDual(), l.HeurFlavors)
+	base, err := l.BaseCycles(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := l.Simulate(ctx, harness.CompilerDual(), l.HeurFlavors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := float64(base) / float64(m.Cycles)
 	if sp < 0.9 || sp > 4 {
 		t.Errorf("espresso compiler-dual speedup = %.2f out of plausible range", sp)
 	}

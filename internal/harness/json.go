@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -35,32 +34,11 @@ type BenchDocument struct {
 	FigureMech *Figure `json:"figuremech,omitempty"`
 }
 
-// Document runs every experiment and collects the artifacts.
+// Document runs every experiment as one plan and collects the artifacts:
+// each benchmark is profiled once and replays all of its cells in one
+// streamed pass.
 func (r *Runner) Document(ctx context.Context) (*BenchDocument, error) {
-	doc := &BenchDocument{Schema: BenchSchema, Fuel: r.Fuel}
-	var err error
-	if doc.Table2, err = r.Table2(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Table3, err = r.Table3(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Table4, err = r.Table4(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Figure5a, err = r.Figure5a(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Figure5b, err = r.Figure5b(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Figure5c, err = r.Figure5c(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Embedded, err = r.Embedded(ctx); err != nil {
-		return nil, err
-	}
-	return doc, nil
+	return r.DocumentExp(ctx, "all")
 }
 
 // DocumentExp runs one named experiment into an otherwise-empty document
@@ -68,31 +46,11 @@ func (r *Runner) Document(ctx context.Context) (*BenchDocument, error) {
 // the full document's per-row artifact cache when Runner.Artifacts is
 // set: running "all" warms every narrower selection and vice versa.
 func (r *Runner) DocumentExp(ctx context.Context, exp string) (*BenchDocument, error) {
+	names := []string{exp}
 	if exp == "" || exp == "all" {
-		return r.Document(ctx)
+		names = documentExps
 	}
-	doc := &BenchDocument{Schema: BenchSchema, Fuel: r.Fuel}
-	var err error
-	switch exp {
-	case "table2":
-		doc.Table2, err = r.Table2(ctx)
-	case "table3":
-		doc.Table3, err = r.Table3(ctx)
-	case "table4":
-		doc.Table4, err = r.Table4(ctx)
-	case "fig5a":
-		doc.Figure5a, err = r.Figure5a(ctx)
-	case "fig5b":
-		doc.Figure5b, err = r.Figure5b(ctx)
-	case "fig5c":
-		doc.Figure5c, err = r.Figure5c(ctx)
-	case "embedded":
-		doc.Embedded, err = r.Embedded(ctx)
-	case "figmech":
-		doc.FigureMech, err = r.FigureMech(ctx)
-	default:
-		err = fmt.Errorf("unknown experiment %q", exp)
-	}
+	doc, err := r.run(ctx, names...)
 	if err != nil {
 		return nil, err
 	}

@@ -147,13 +147,12 @@ func (r *Runner) ReplayBench(ctx context.Context) (*ReplayBenchDoc, error) {
 	}
 	// Two streaming lab sets: the memo switch is a runner property, and a
 	// lab carries its runner's setting into every simulation it serves.
-	rs := &Runner{Fuel: r.Fuel, ChunkSize: chunk, MaxResident: len(benches) + 1}
+	rs := &Runner{Fuel: r.Fuel, ChunkSize: chunk}
 	labs, err := buildLabs(rs)
 	if err != nil {
 		return nil, err
 	}
-	rsOff := &Runner{Fuel: r.Fuel, ChunkSize: chunk, MaxResident: len(benches) + 1,
-		NoMemo: true}
+	rsOff := &Runner{Fuel: r.Fuel, ChunkSize: chunk, NoMemo: true}
 	labsOff, err := buildLabs(rsOff)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"encoding/json"
 
 	"elag/internal/artifact"
@@ -11,17 +10,17 @@ import (
 // Per-row grid caching: every grid experiment is a set of independent
 // per-benchmark rows, each a pure function of (experiment, series shape,
 // benchmark source, fuel, chunk size). With Runner.Artifacts attached,
-// forEachLabCached keys each row canonically, decodes the rows the store
-// already has, and runs the grid machinery over only the missing
-// benchmarks — so a grid that overlaps a previous one (a re-run, a
-// narrower experiment selection, a different tool sharing the store)
-// recomputes exactly the rows it lacks. Averages are recomputed from the
+// the planner keys each row canonically, decodes the rows the store
+// already has, and plans only the missing ones — so a grid that overlaps
+// a previous one (a re-run, a narrower experiment selection, a different
+// tool sharing the store) recomputes exactly the rows it lacks. Averages are recomputed from the
 // restored rows; since JSON round-trips float64 exactly, a document
 // assembled from cached rows is byte-identical to a cold one.
 
 // rowKeySchema versions the row-key derivation and the row shapes
-// together; bump on any change to either.
-const rowKeySchema = "elag-grid-row/v1"
+// together; bump on any change to either. v2: chunk 0 stopped meaning
+// "materialized" and now means the default streamed chunk.
+const rowKeySchema = "elag-grid-row/v2"
 
 // rowKey derives the content-address of one benchmark's row. exp names
 // the experiment ("table2", "fig5a", ...); extra carries experiment
@@ -45,44 +44,22 @@ func (r *Runner) rowKey(exp string, extra []string, w *workload.Workload) artifa
 	return d.Key()
 }
 
-// forEachLabCached is forEachLab with per-row artifact caching. slot(i)
-// returns a pointer to benchmark i's result slot: cached rows are
-// decoded straight into it, and after fn fills the missing ones their
-// slots are marshalled and stored. Without a store it degrades to plain
-// forEachLab. Progress (and lab-cache counters) reflect only the rows
-// actually computed — a fully cached experiment builds no labs at all.
-func (r *Runner) forEachLabCached(ctx context.Context, exp string, extra []string,
-	benches []*workload.Workload, slot func(i int) any,
-	fn func(ctx context.Context, i int, l *Lab) error) error {
+// cachedRow decodes experiment e's row for w from the store into slot,
+// reporting whether it was there.
+func (r *Runner) cachedRow(e *experiment, w *workload.Workload, slot any) bool {
 	if r.Artifacts == nil {
-		return r.forEachLab(ctx, benches, fn)
+		return false
 	}
-	var missing []int
-	for i, w := range benches {
-		if data, ok := r.Artifacts.Get(r.rowKey(exp, extra, w)); ok {
-			if json.Unmarshal(data, slot(i)) == nil {
-				continue
-			}
-		}
-		missing = append(missing, i)
+	data, ok := r.Artifacts.Get(r.rowKey(e.name, e.series, w))
+	return ok && json.Unmarshal(data, slot) == nil
+}
+
+// putRow stores experiment e's computed row for w.
+func (r *Runner) putRow(e *experiment, w *workload.Workload, slot any) {
+	if r.Artifacts == nil {
+		return
 	}
-	if len(missing) == 0 {
-		return ctx.Err()
+	if data, err := json.Marshal(slot); err == nil {
+		r.Artifacts.Put(r.rowKey(e.name, e.series, w), data)
 	}
-	sub := make([]*workload.Workload, len(missing))
-	for k, i := range missing {
-		sub[k] = benches[i]
-	}
-	err := r.forEachLab(ctx, sub, func(ctx context.Context, k int, l *Lab) error {
-		return fn(ctx, missing[k], l)
-	})
-	if err != nil {
-		return err
-	}
-	for _, i := range missing {
-		if data, err := json.Marshal(slot(i)); err == nil {
-			r.Artifacts.Put(r.rowKey(exp, extra, benches[i]), data)
-		}
-	}
-	return nil
 }

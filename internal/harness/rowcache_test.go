@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -120,13 +121,17 @@ func TestRowCacheCrossExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table 4 shares the MediaBench suite but must not reuse embedded rows.
+	// Table 4 shares the MediaBench suite but must not reuse embedded
+	// rows: it computes every row, on the labs Embedded built.
 	if _, err := cold.Table4(ctx); err != nil {
 		t.Fatal(err)
 	}
 	media := int64(len(workload.BySuite(workload.Media)))
-	if got := cold.Counters.LabMisses.Load(); got != 2*media {
-		t.Errorf("embedded+table4 built %d labs, want %d (no cross-experiment reuse)", got, 2*media)
+	if got := cold.Counters.LabMisses.Load(); got != media {
+		t.Errorf("embedded+table4 built %d labs, want %d", got, media)
+	}
+	if got := cold.Counters.LabHits.Load(); got != media {
+		t.Errorf("table4 computed %d rows, want %d (no cross-experiment reuse)", got, media)
 	}
 
 	warm := &Runner{Fuel: 200_000, Artifacts: store, Counters: &Counters{}}
@@ -141,5 +146,68 @@ func TestRowCacheCrossExperiment(t *testing.T) {
 	warmJSON, _ := json.Marshal(warmRows)
 	if string(coldJSON) != string(warmJSON) {
 		t.Errorf("warm embedded rows differ from cold")
+	}
+}
+
+// TestRowCacheHalfWarm: a Document over a store that already holds some
+// of its rows builds no lab for a kernel whose rows are all cached, and
+// replays only the cells of the rows it lacks; the document bytes equal a
+// cold one's.
+func TestRowCacheHalfWarm(t *testing.T) {
+	store := rowStore(t)
+	ctx := context.Background()
+	fuel := int64(15_000)
+
+	cold := &Runner{Fuel: fuel}
+	coldDoc, err := cold.Document(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := docJSON(t, coldDoc)
+
+	// With Table 3 rows cached every kernel still lacks rows, so every
+	// lab is built and streamed once; the bytes are unchanged.
+	if _, err := (&Runner{Fuel: fuel, Artifacts: store}).Table3(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Fuel: fuel, Artifacts: store, Counters: &Counters{}}
+	doc, err := r.Document(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := docJSON(t, doc); !bytes.Equal(got, want) {
+		t.Errorf("Document over cached Table 3 rows differs from a cold one")
+	}
+	if got, n := r.Counters.LabMisses.Load(), int64(len(workload.All())); got != n {
+		t.Errorf("built %d labs, want %d", got, n)
+	}
+
+	// Now every row is cached. Drop one kernel's Table 2 and Figure 5b
+	// rows: only that kernel is built, and its one pass carries the base
+	// and the three Figure 5b cells.
+	victim := workload.BySuite(workload.SPEC)[1]
+	store.Delete(r.rowKey("table2", nil, victim))
+	fig5b := figure5b(&BenchDocument{})
+	store.Delete(r.rowKey("fig5b", fig5b.series, victim))
+	warm := &Runner{Fuel: fuel, Artifacts: store, Counters: &Counters{}}
+	doc, err = warm.Document(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := docJSON(t, doc); !bytes.Equal(got, want) {
+		t.Errorf("half-warm Document differs from a cold one")
+	}
+	if got := warm.Counters.LabMisses.Load(); got != 1 {
+		t.Errorf("half-warm Document built %d labs, want 1", got)
+	}
+	l, err := warm.Lab(ctx, victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.Counters.Insts.Load(); got != l.EmuRes.DynamicInsts {
+		t.Errorf("streamed %d entries, want %d (one pass over %s)", got, l.EmuRes.DynamicInsts, victim.Name)
+	}
+	if got := len(l.memo); got != len(fig5b.cells) {
+		t.Errorf("%s replayed %d cells, want %d (base + Figure 5b)", victim.Name, got, len(fig5b.cells))
 	}
 }

@@ -44,19 +44,24 @@ func tableRow(l *Lab, c *core.Classification) Table2Row {
 
 // Table2 reproduces Table 2 over the SPEC-like suite.
 func (r *Runner) Table2(ctx context.Context) ([]Table2Row, error) {
-	benches := workload.BySuite(workload.SPEC)
-	rows := make([]Table2Row, len(benches))
-	err := r.forEachLabCached(ctx, "table2", nil, benches,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			rows[i] = tableRow(l, l.Heur)
+	doc, err := r.run(ctx, "table2")
+	return doc.Table2, err
+}
+
+// table2 declares Table 2: profile statistics only, so it needs labs but
+// no cells.
+func table2(doc *BenchDocument) *experiment {
+	rows := make([]Table2Row, len(workload.BySuite(workload.SPEC)))
+	return &experiment{
+		name:  "table2",
+		suite: workload.SPEC,
+		row:   func(i int) any { return &rows[i] },
+		fill:  func(i int, l *Lab, _ []int64) { rows[i] = tableRow(l, l.Heur) },
+		finish: func() error {
+			doc.Table2 = append(rows, averageT2(rows))
 			return nil
-		})
-	if err != nil {
-		return nil, err
+		},
 	}
-	rows = append(rows, averageT2(rows))
-	return rows, nil
 }
 
 func averageT2(rows []Table2Row) Table2Row {
@@ -104,40 +109,42 @@ type Table3Row struct {
 // Table3 reproduces Table 3: the compiler-directed dual-path configuration
 // (256-entry table, one R_addr) with address-profile reclassification.
 func (r *Runner) Table3(ctx context.Context) ([]Table3Row, error) {
-	benches := workload.BySuite(workload.SPEC)
-	rows := make([]Table3Row, len(benches))
-	err := r.forEachLabCached(ctx, "table3", nil, benches,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedup(ctx, CompilerDual(), l.ReclassFlavors)
-			if err != nil {
-				return err
-			}
+	doc, err := r.run(ctx, "table3")
+	return doc.Table3, err
+}
+
+func table3(doc *BenchDocument) *experiment {
+	rows := make([]Table3Row, len(workload.BySuite(workload.SPEC)))
+	return &experiment{
+		name:  "table3",
+		suite: workload.SPEC,
+		cells: []cell{baseCell, {CompilerDual(), flavReclass}},
+		row:   func(i int) any { return &rows[i] },
+		fill: func(i int, l *Lab, c []int64) {
 			t := tableRow(l, l.Reclass)
 			rows[i] = Table3Row{
 				Name:     l.W.Name,
-				Speedup:  sp,
+				Speedup:  speedup(c[0], c[1]),
 				StaticPD: t.StaticPD,
 				DynPD:    t.DynPD,
 				RateNT:   t.RateNT,
 				RatePD:   t.RatePD,
 			}
+		},
+		finish: func() error {
+			avg := Table3Row{Name: "average"}
+			n := float64(len(rows))
+			for _, x := range rows {
+				avg.Speedup += x.Speedup / n
+				avg.StaticPD += x.StaticPD / n
+				avg.DynPD += x.DynPD / n
+				avg.RateNT += x.RateNT / n
+				avg.RatePD += x.RatePD / n
+			}
+			doc.Table3 = append(rows, avg)
 			return nil
-		})
-	if err != nil {
-		return nil, err
+		},
 	}
-	avg := Table3Row{Name: "average"}
-	n := float64(len(rows))
-	for _, x := range rows {
-		avg.Speedup += x.Speedup / n
-		avg.StaticPD += x.StaticPD / n
-		avg.DynPD += x.DynPD / n
-		avg.RateNT += x.RateNT / n
-		avg.RatePD += x.RatePD / n
-	}
-	rows = append(rows, avg)
-	return rows, nil
 }
 
 // FormatTable3 renders rows like the paper's Table 3.
@@ -162,31 +169,33 @@ type Table4Row struct {
 // Table4 reproduces Table 4: MediaBench characteristics and speedups under
 // the compiler heuristics (no profiling).
 func (r *Runner) Table4(ctx context.Context) ([]Table4Row, error) {
-	benches := workload.BySuite(workload.Media)
-	rows := make([]Table4Row, len(benches))
-	err := r.forEachLabCached(ctx, "table4", nil, benches,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedup(ctx, CompilerDual(), l.HeurFlavors)
-			if err != nil {
-				return err
+	doc, err := r.run(ctx, "table4")
+	return doc.Table4, err
+}
+
+func table4(doc *BenchDocument) *experiment {
+	rows := make([]Table4Row, len(workload.BySuite(workload.Media)))
+	return &experiment{
+		name:  "table4",
+		suite: workload.Media,
+		cells: []cell{baseCell, {CompilerDual(), flavHeur}},
+		row:   func(i int) any { return &rows[i] },
+		fill: func(i int, l *Lab, c []int64) {
+			rows[i] = Table4Row{Table2Row: tableRow(l, l.Heur), Speedup: speedup(c[0], c[1])}
+		},
+		finish: func() error {
+			avg := Table4Row{}
+			var t2s []Table2Row
+			for _, x := range rows {
+				t2s = append(t2s, x.Table2Row)
+				avg.Speedup += x.Speedup / float64(len(rows))
 			}
-			rows[i] = Table4Row{Table2Row: tableRow(l, l.Heur), Speedup: sp}
+			avg.Table2Row = averageT2(t2s)
+			avg.Name = "average"
+			doc.Table4 = append(rows, avg)
 			return nil
-		})
-	if err != nil {
-		return nil, err
+		},
 	}
-	avg := Table4Row{}
-	var t2s []Table2Row
-	for _, x := range rows {
-		t2s = append(t2s, x.Table2Row)
-		avg.Speedup += x.Speedup / float64(len(rows))
-	}
-	avg.Table2Row = averageT2(t2s)
-	avg.Name = "average"
-	rows = append(rows, avg)
-	return rows, nil
 }
 
 // FormatTable4 renders rows like the paper's Table 4.

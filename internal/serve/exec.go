@@ -156,9 +156,10 @@ func executeGrid(j *Job, parallel int, work *harness.Counters, cache *artifact.S
 		// later grid — same or narrower experiment selection — recomputes
 		// only the rows it is missing.
 		Artifacts: cache,
-		// Each completed benchmark column becomes a frame; done/total
-		// restart per experiment (Document runs several), so a consumer
-		// sees per-experiment sweep progress, not one global bar.
+		// Each completed benchmark becomes a frame. A grid job is one
+		// plan — every selected experiment's missing rows at once — so
+		// done/total count over the benchmarks the job computes: one
+		// bar from 1 to total, with rows already cached left out.
 		Progress: func(bench string, done, total int) {
 			j.progress.Publish(telemetry.Frame{Type: "bench", Job: j.ID,
 				Bench: bench, Done: done, Total: total})
