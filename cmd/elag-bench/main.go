@@ -19,10 +19,8 @@
 //	-chunk N      stream traces in N-entry chunks (0, the default, means
 //	              4096; peak trace memory O(N) per worker; artifacts are
 //	              byte-identical at every setting)
-//	-nomemo       disable basic-block timing memoization (for wall-time A/B;
-//	              artifacts are byte-identical either way)
-//	-nospecialize disable config-specialized replay kernels (likewise
-//	              byte-identical)
+//	-nospecialize disable config-specialized replay kernels (for wall-time
+//	              A/B; artifacts are byte-identical either way)
 //	-cache-dir d  reuse per-row grid results from a content-addressed store
 //	              (default $ELAG_CACHE_DIR; the same store elag-serve and
 //	              elag-sim share, so a prior run — any tool's — skips rows)
@@ -30,7 +28,7 @@
 //	-cpuprofile f write a CPU profile
 //	-memprofile f write a heap profile at exit
 //	-replaybench f  run the trace-replay microbenchmarks and write the
-//	              elag-replaybench/v3 JSON document ("-" for stdout)
+//	              elag-replaybench/v4 JSON document ("-" for stdout)
 //	-compilebench f  compile every workload through the default pipeline and
 //	              write the elag-compilebench/v1 JSON document (per-workload
 //	              wall time + per-pass breakdown; "-" for stdout)
@@ -45,7 +43,7 @@
 //
 //	elag-bench -diff old.json new.json
 //
-// compares two bench documents of the same schema (elag-replaybench/v3,
+// compares two bench documents of the same schema (elag-replaybench/v4,
 // elag-compilebench/v1, or elag-servebench/v1) entry by entry and exits
 // nonzero when any metric regressed by more than -diff-threshold (default
 // 0.15 = 15%). Throughput metrics are polarity-aware: minst_per_sec going
@@ -79,7 +77,6 @@ func main() {
 	servePath := flag.String("servebench", "", `run the service-path cache benchmark, write JSON to this file ("-" = stdout)`)
 	cacheOpts := cli.CacheFlags()
 	reps := flag.Int("reps", 5, "repetitions per workload for -compilebench (fastest wins)")
-	noMemo := flag.Bool("nomemo", false, "disable basic-block timing memoization (byte-identical artifacts)")
 	noSpec := flag.Bool("nospecialize", false, "disable config-specialized replay kernels (byte-identical artifacts)")
 	diff := flag.Bool("diff", false, "compare two bench JSON documents: elag-bench -diff old.json new.json")
 	diffThreshold := flag.Float64("diff-threshold", 0.15, "relative regression bound for -diff (0.15 = 15%)")
@@ -114,7 +111,7 @@ func main() {
 		logw = nil
 	}
 	r := &harness.Runner{Fuel: *fuel, Log: logw, Parallel: perf.Parallel,
-		ChunkSize: perf.Chunk, NoMemo: *noMemo, NoSpecialize: *noSpec,
+		ChunkSize: perf.Chunk, NoSpecialize: *noSpec,
 		Artifacts: cacheOpts.Open("elag-bench")}
 
 	if *servePath != "" {

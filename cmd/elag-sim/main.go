@@ -24,10 +24,8 @@
 //	               every configuration replays each trace chunk in turn
 //	-chunk N       stream the trace in N-entry chunks (bounded memory;
 //	               the printed tables are identical at every setting)
-//	-nomemo        disable basic-block timing memoization (the printed
+//	-nospecialize  disable config-specialized replay kernels (the printed
 //	               tables are identical either way)
-//	-nospecialize  disable config-specialized replay kernels (likewise
-//	               identical output)
 //	-cache-dir d   reuse results from a content-addressed store (default
 //	               $ELAG_CACHE_DIR; the same store elag-serve persists
 //	               with its -cache-dir, so CLI and daemon runs share it)
@@ -61,7 +59,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print the full metrics summary")
 	pipeview := flag.Int("pipeview", 0, "render the first N instructions' pipeline stages")
 	all := flag.Bool("all", false, "compare every configuration")
-	noMemo := flag.Bool("nomemo", false, "disable basic-block timing memoization (identical output)")
 	noSpec := flag.Bool("nospecialize", false, "disable config-specialized replay kernels (identical output)")
 	cacheOpts := cli.CacheFlags()
 	perf := cli.PerfFlags()
@@ -145,7 +142,7 @@ func main() {
 			if err != nil {
 				cli.Fatal("elag-sim", err)
 			}
-			specs[i] = elag.BatchSpec{Config: cfg, NoMemo: *noMemo, NoSpecialize: *noSpec}
+			specs[i] = elag.BatchSpec{Config: cfg, NoSpecialize: *noSpec}
 		}
 		ms, res, err := p.SimulateBatchContext(ctx, specs, *fuel, perf.Chunk)
 		if err != nil {
@@ -211,9 +208,9 @@ func main() {
 // cacheSpec maps the CLI invocation onto serve's job vocabulary, or nil
 // when it has no spec equivalent: assembly and object inputs are outside
 // the vocabulary, and the caller gates out -profile runs (reclassification
-// changes the program in ways the spec cannot name). -nomemo/-nospecialize
-// do not appear because their output is byte-identical (like ResultKey,
-// which excludes them for the same reason).
+// changes the program in ways the spec cannot name). -nospecialize does
+// not appear because its output is byte-identical (like ResultKey, which
+// excludes it for the same reason).
 func cacheSpec(arg string, configs []serve.ConfigSpec, fuel int64, chunk int) *serve.JobSpec {
 	spec := &serve.JobSpec{Kind: serve.KindSimulate, Configs: configs, Fuel: fuel, Chunk: chunk}
 	if name, ok := strings.CutPrefix(arg, "workload:"); ok {

@@ -272,84 +272,6 @@ func (t *Table) UpdateIfPresent(pc int, ca int64) (wasCorrect bool) {
 	return false
 }
 
-// ---- replay fast-path hooks -------------------------------------------
-
-// EntrySnap is the exported view of one table way, for the block-timing
-// memoizer in package pipeline: the tag, raw LRU stamp, and the complete
-// Figure-3 entry state. E is copied whole (a plain value struct), so
-// snapshot equality covers the unexported seen/counter fields too.
-type EntrySnap struct {
-	Tag int64
-	LRU int64
-	E   Entry
-}
-
-// Pack encodes the complete entry state — including the unexported
-// seen/counter fields — into the mechanism-neutral four-word snapshot value
-// used by package mech. Unpack inverts it exactly.
-func (e Entry) Pack() [4]int64 {
-	var stc, seen int64
-	if e.STC {
-		stc = 1
-	}
-	if e.seen {
-		seen = 1
-	}
-	return [4]int64{e.PA, e.ST, int64(e.State)<<1 | stc, int64(e.counter)<<1 | seen}
-}
-
-// UnpackEntry rebuilds an Entry from its Pack encoding.
-func UnpackEntry(v [4]int64) Entry {
-	return Entry{
-		PA:      v[0],
-		ST:      v[1],
-		STC:     v[2]&1 != 0,
-		State:   State(v[2] >> 1),
-		seen:    v[3]&1 != 0,
-		counter: uint8(v[3] >> 1),
-	}
-}
-
-// SetIndexOf returns the set index pc maps to.
-func (t *Table) SetIndexOf(pc int) int64 { return int64(pc) & t.mask }
-
-// Assoc returns the table's associativity (ways per set).
-func (t *Table) Assoc() int {
-	if len(t.sets) == 0 {
-		return 0
-	}
-	return len(t.sets[0])
-}
-
-// Stamp returns the current LRU use stamp.
-func (t *Table) Stamp() int64 { return t.stamp }
-
-// AddStamp advances the LRU use stamp by d, replaying the stamp increments
-// of a memoized block without re-running its updates.
-func (t *Table) AddStamp(d int64) { t.stamp += d }
-
-// AddStats adds a delta onto the accumulated statistics.
-func (t *Table) AddStats(d Stats) {
-	t.stats.Probes += d.Probes
-	t.stats.ProbeHits += d.ProbeHits
-	t.stats.Predictions += d.Predictions
-	t.stats.Correct += d.Correct
-	t.stats.Allocations += d.Allocations
-}
-
-// SnapSet appends the ways of one set to dst and returns it.
-func (t *Table) SnapSet(set int64, dst []EntrySnap) []EntrySnap {
-	for _, te := range t.sets[set] {
-		dst = append(dst, EntrySnap{Tag: te.tag, LRU: te.lru, E: te.e})
-	}
-	return dst
-}
-
-// PutEntry overwrites one way of one set with the given snapshot.
-func (t *Table) PutEntry(set int64, wy int, s EntrySnap) {
-	t.sets[set][wy] = taggedEntry{tag: s.Tag, lru: s.LRU, e: s.E}
-}
-
 // Update trains the table with the computed address ca of the load at pc
 // (MEM stage), allocating an entry on a tag miss. It reports whether a
 // confident prediction made for this execution was correct, for statistics.

@@ -89,16 +89,6 @@ type way struct {
 	lru   int64 // last-use stamp
 }
 
-// WaySnap is the exported view of one tag-store way, for replay fast paths
-// that snapshot, compare, and restore set state (the block-timing memoizer
-// in package pipeline). LRU is the raw use stamp; direct-mapped caches never
-// write it, so it is always 0 there.
-type WaySnap struct {
-	Valid bool
-	Tag   int64
-	LRU   int64
-}
-
 // Cache is a tag-store cache model. Use New to construct one.
 type Cache struct {
 	cfg      Config
@@ -260,50 +250,15 @@ func (c *Cache) index(addr int64) (set, tag int64) {
 // ---- replay fast-path hooks -------------------------------------------
 //
 // The accessors below exist for package pipeline's specialized replay
-// kernels: geometry is resolved once at Sim construction so the hot loop
-// carries no per-access config loads, and the block-timing memoizer
-// snapshots/compares/restores individual sets. They expose exactly the
-// state the cache's own access paths read and write — nothing is modeled
-// here, only copied — so a restore is bit-identical to having replayed the
-// accesses that produced it.
+// kernels: geometry is resolved once per chunk so the hot loop carries no
+// per-access config loads, and the direct-mapped leaf skips the generic
+// dispatch. Nothing is modeled here that the generic entry points do not
+// also model, so both routes are bit-identical.
 
 // Geometry returns the precomputed index geometry: block (set) shift, tag
 // shift, set mask, and associativity.
 func (c *Cache) Geometry() (setShift, tagShift uint, setMask int64, assoc int) {
 	return c.setShift, c.tagShift, c.setMask, c.assoc
-}
-
-// SetIndexOf returns the set index addr maps to.
-func (c *Cache) SetIndexOf(addr int64) int64 {
-	return (addr >> c.setShift) & c.setMask
-}
-
-// Stamp returns the current LRU use stamp (0 for direct-mapped caches,
-// which never stamp).
-func (c *Cache) Stamp() int64 { return c.stamp }
-
-// AddStamp advances the LRU use stamp by d, replaying the stamp increments
-// of a memoized block without re-running its accesses.
-func (c *Cache) AddStamp(d int64) { c.stamp += d }
-
-// AddStats adds a delta onto the accumulated statistics.
-func (c *Cache) AddStats(d Stats) {
-	c.stats.Accesses += d.Accesses
-	c.stats.Misses += d.Misses
-	c.stats.SpecAccesses += d.SpecAccesses
-}
-
-// SnapSet appends the ways of one set to dst and returns it.
-func (c *Cache) SnapSet(set int64, dst []WaySnap) []WaySnap {
-	for _, w := range c.set(set) {
-		dst = append(dst, WaySnap{Valid: w.valid, Tag: w.tag, LRU: w.lru})
-	}
-	return dst
-}
-
-// PutWay overwrites one way of one set with the given snapshot.
-func (c *Cache) PutWay(set int64, wy int, s WaySnap) {
-	c.set(set)[wy] = way{valid: s.Valid, tag: s.Tag, lru: s.LRU}
 }
 
 // AccessDM fuses Access, AccessNoAllocate, and SpecAccess into one

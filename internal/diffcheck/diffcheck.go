@@ -313,7 +313,7 @@ func checkStream(prog *isa.Program, trace *emu.Trace, fuel int64,
 		if seq[i] == nil {
 			continue
 		}
-		if !metricsEqual(ms[i], seq[i]) {
+		if !reflect.DeepEqual(ms[i], seq[i]) {
 			rep.failf(nc.Name, "stream-batch",
 				"batched streamed metrics differ from sequential replay: %d cycles vs %d",
 				ms[i].Cycles, seq[i].Cycles)
@@ -321,27 +321,15 @@ func checkStream(prog *isa.Program, trace *emu.Trace, fuel int64,
 	}
 }
 
-// memoModes is the replay fast-path matrix CheckMemoEquivalence sweeps:
-// both fast paths on (the production default), each disabled alone, and
-// both disabled (the plain interpreter, the correctness reference).
-var memoModes = []struct {
-	name           string
-	noMemo, noSpec bool
-}{
-	{"memo+spec", false, false},
-	{"nomemo+spec", true, false},
-	{"memo+nospec", false, true},
-	{"nomemo+nospec", true, true},
-}
-
-// CheckMemoEquivalence verifies the replay fast paths are invisible: for
-// every configuration, the four {memoization, kernel specialization} ×
-// {on, off} combinations must produce metrics equal modulo the Memo
-// counters. Replays stream with an awkward chunk size (97) so block
-// recordings regularly straddle chunk boundaries — the regime where a
-// fingerprint or rebase bug would surface. It returns an error only when
-// the reference emulation itself faults; divergences land in the Report.
-func CheckMemoEquivalence(prog *isa.Program, opt Options) (*Report, error) {
+// CheckSpecializeEquivalence verifies the specialized replay kernels are
+// invisible: for every configuration, replay with specialization on (the
+// production default) and off (the generic speculate dispatch and full
+// cache access, the correctness reference) must produce deeply equal
+// metrics. Replays stream with an awkward chunk size (97) so the per-chunk
+// fast-path selection runs often and at odd offsets. It returns an error
+// only when the reference emulation itself faults; divergences land in the
+// Report.
+func CheckSpecializeEquivalence(prog *isa.Program, opt Options) (*Report, error) {
 	if opt.Fuel <= 0 {
 		opt.Fuel = 1_000_000
 	}
@@ -361,38 +349,20 @@ func CheckMemoEquivalence(prog *isa.Program, opt Options) (*Report, error) {
 
 	const chunk = 97
 	for _, nc := range configs {
-		var ref *pipeline.Metrics
-		for _, md := range memoModes {
-			specs := []pipeline.BatchSpec{{Config: nc.Config,
-				NoMemo: md.noMemo, NoSpecialize: md.noSpec}}
-			ms, _, err := pipeline.BatchReplay(prog, opt.Fuel, chunk, specs)
-			if err != nil {
-				rep.failf(nc.Name, "memo-equiv", "%s: replay: %v", md.name, err)
-				continue
-			}
-			if ref == nil {
-				ref = ms[0]
-				rep.Cycles[nc.Name] = ref.Cycles
-				continue
-			}
-			if !metricsEqual(ms[0], ref) {
-				rep.failf(nc.Name, "memo-equiv",
-					"%s metrics diverge from %s: %d cycles vs %d",
-					md.name, memoModes[0].name, ms[0].Cycles, ref.Cycles)
-			}
+		specs := []pipeline.BatchSpec{{Config: nc.Config}, {Config: nc.Config, NoSpecialize: true}}
+		ms, _, err := pipeline.BatchReplay(prog, opt.Fuel, chunk, specs)
+		if err != nil {
+			rep.failf(nc.Name, "specialize-equiv", "replay: %v", err)
+			continue
+		}
+		rep.Cycles[nc.Name] = ms[1].Cycles
+		if !reflect.DeepEqual(ms[0], ms[1]) {
+			rep.failf(nc.Name, "specialize-equiv",
+				"specialized metrics diverge from generic: %d cycles vs %d",
+				ms[0].Cycles, ms[1].Cycles)
 		}
 	}
 	return rep, nil
-}
-
-// metricsEqual compares two metrics structs field for field, ignoring the
-// Memo counters: they describe the simulator (hit rates depend on chunking
-// and configuration), not the simulated machine, and legitimately differ
-// between memoized and unmemoized runs of identical workloads.
-func metricsEqual(a, b *pipeline.Metrics) bool {
-	na, nb := *a, *b
-	na.Memo, nb.Memo = pipeline.MemoStats{}, pipeline.MemoStats{}
-	return reflect.DeepEqual(&na, &nb)
 }
 
 // checkClasses verifies that the program's load flavours agree with the

@@ -37,13 +37,12 @@ func FuzzOptLevels(f *testing.F) {
 	})
 }
 
-// FuzzReplayMemo feeds generator seeds to the fast-path equivalence
-// checker: whatever program the seed produces must replay identically
-// (modulo the Memo counters) with memoization and kernel specialization
-// on or off, in every combination, under every reference configuration.
-// A seed that trips a divergence is a minimized witness against the block
-// fingerprint, the guard match, or the recording replay.
-func FuzzReplayMemo(f *testing.F) {
+// FuzzReplaySpecialize feeds generator seeds to the fast-path equivalence
+// checker: whatever program the seed produces must replay identically with
+// kernel specialization on or off under every reference configuration. A
+// seed that trips a divergence is a minimized witness against the
+// speculation-path dispatch or the fused direct-mapped cache leaf.
+func FuzzReplaySpecialize(f *testing.F) {
 	for seed := int64(1); seed <= 20; seed++ {
 		f.Add(seed)
 	}
@@ -53,7 +52,7 @@ func FuzzReplayMemo(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program does not assemble: %v\n%s", err, src)
 		}
-		rep, err := CheckMemoEquivalence(p, Options{Fuel: 200_000})
+		rep, err := CheckSpecializeEquivalence(p, Options{Fuel: 200_000})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -67,9 +66,8 @@ func FuzzReplayMemo(f *testing.F) {
 // checker: whatever program the seed produces must behave identically with
 // the paper mechanisms configured through registry specs or typed fields,
 // and the stride/pcax assist mechanisms must hold every replay invariant
-// (including the memoization fast-path matrix). A tripping seed is a
-// minimized witness against a mechanism's snapshot contract or the assist
-// path's timing accounting.
+// (including specialized vs generic replay). A tripping seed is a
+// minimized witness against the assist path's timing accounting.
 func FuzzMech(f *testing.F) {
 	for seed := int64(1); seed <= 20; seed++ {
 		f.Add(seed)

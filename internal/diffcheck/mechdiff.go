@@ -9,7 +9,7 @@
 //   - Soundness: every registered assist mechanism (stride, pcax, ...)
 //     must satisfy the full invariant suite — lockstep trace integrity,
 //     architectural transparency, counter algebra, steering, streaming
-//     equivalence, and the memoization/specialization fast-path matrix.
+//     equivalence, and specialized-vs-generic replay equivalence.
 package diffcheck
 
 import (
@@ -97,7 +97,7 @@ func specIdentityPairs() []struct {
 }
 
 // CheckMechEquivalence runs the mechanism-layer differential suite on prog:
-// the full invariant check and the memoization fast-path matrix over
+// the full invariant check and the specialized-vs-generic replay check over
 // MechConfigs (or opt.Configs when set), plus the typed-vs-spec identity
 // comparison for the paper mechanisms. It returns an error only when the
 // reference emulation itself faults; violations land in the Report.
@@ -112,7 +112,7 @@ func CheckMechEquivalence(prog *isa.Program, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	mrep, err := CheckMemoEquivalence(prog, opt)
+	mrep, err := CheckSpecializeEquivalence(prog, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +122,8 @@ func CheckMechEquivalence(prog *isa.Program, opt Options) (*Report, error) {
 }
 
 // checkSpecIdentity simulates each typed/spec pair and requires the full
-// Metrics structs to be deeply equal — Memo counters included, since the
-// normalized configurations are the same machine and must take the same
-// fast paths.
+// Metrics structs to be deeply equal: the normalized configurations are
+// the same machine.
 func checkSpecIdentity(prog *isa.Program, fuel int64, rep *Report) {
 	for _, pair := range specIdentityPairs() {
 		mt, _, err := pipeline.Simulate(pair.typed, prog, fuel)

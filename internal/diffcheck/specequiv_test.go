@@ -9,11 +9,10 @@ import (
 	elag "elag"
 )
 
-// TestMemoEquivalenceWorkloads sweeps the replay fast-path matrix over
-// every embedded benchmark: memoization and kernel specialization, alone
-// and together, must be invisible in the metrics on all five reference
-// configurations.
-func TestMemoEquivalenceWorkloads(t *testing.T) {
+// TestSpecializeEquivalenceWorkloads replays every embedded benchmark with
+// kernel specialization on and off: the specialized kernels must be
+// invisible in the metrics on all five reference configurations.
+func TestSpecializeEquivalenceWorkloads(t *testing.T) {
 	fuel := int64(100_000)
 	for _, w := range workload.All() {
 		w := w
@@ -22,7 +21,7 @@ func TestMemoEquivalenceWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			rep, err := CheckMemoEquivalence(p.Machine, Options{Fuel: fuel})
+			rep, err := CheckSpecializeEquivalence(p.Machine, Options{Fuel: fuel})
 			if err != nil {
 				t.Fatalf("check: %v", err)
 			}
@@ -33,11 +32,12 @@ func TestMemoEquivalenceWorkloads(t *testing.T) {
 	}
 }
 
-// TestMemoEquivalenceRandomPrograms sweeps the same matrix over 200 seeded
-// random programs (50 under -short). The generator covers the ISA corners
-// the workloads miss — calls, every load width, reg+reg addressing — so a
-// memo fingerprint that under-captures state shows up here first.
-func TestMemoEquivalenceRandomPrograms(t *testing.T) {
+// TestSpecializeEquivalenceRandomPrograms runs the same check over 200
+// seeded random programs (50 under -short). The generator covers the ISA
+// corners the workloads miss — calls, every load width, reg+reg
+// addressing — so a specialized path that diverges on one shows up here
+// first.
+func TestSpecializeEquivalenceRandomPrograms(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
 		seeds = 50
@@ -48,7 +48,7 @@ func TestMemoEquivalenceRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: assemble: %v\n%s", seed, err, src)
 		}
-		rep, err := CheckMemoEquivalence(p, Options{Fuel: 400_000})
+		rep, err := CheckSpecializeEquivalence(p, Options{Fuel: 400_000})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // Perf-regression gate: BenchDiff compares two bench documents — two
-// elag-replaybench/v3, elag-compilebench/v1, or elag-servebench/v1
+// elag-replaybench/v4, elag-compilebench/v1, or elag-servebench/v1
 // files — entry by entry, and reports every metric whose regression
 // exceeds a threshold. CI runs it against the checked-in baselines
 // (BENCH_replay.json, BENCH_compile.json, BENCH_serve.json) so a
@@ -134,7 +134,7 @@ func BenchDiffFiles(oldPath, newPath string, threshold float64) (*DiffReport, er
 }
 
 // BenchDiff compares baseline oldRaw against candidate newRaw. Both must
-// carry the same schema (elag-replaybench/v3 or elag-compilebench/v1);
+// carry the same schema (elag-replaybench/v4 or elag-compilebench/v1);
 // replay documents must additionally agree on fuel. threshold <= 0 takes
 // the 0.15 default.
 func BenchDiff(oldRaw, newRaw []byte, oldPath, newPath string, threshold float64) (*DiffReport, error) {
@@ -166,16 +166,13 @@ func BenchDiff(oldRaw, newRaw []byte, oldPath, newPath string, threshold float64
 }
 
 // replayMetrics are the gated metrics of a replay bench entry. MInstPerSec
-// is throughput (higher is better); the rest are costs. MemoHitRate is
-// gated too: replay is deterministic, so a hit-rate drop is a memo-policy
-// or fingerprint regression, not machine noise.
+// is throughput (higher is better); the rest are costs.
 var replayMetrics = []benchMetric{
 	{"ns_per_op", false, func(v any) float64 { return float64(v.(ReplayBenchResult).NsPerOp) }},
 	{"allocs_per_op", false, func(v any) float64 { return float64(v.(ReplayBenchResult).AllocsPerOp) }},
 	{"bytes_per_op", false, func(v any) float64 { return float64(v.(ReplayBenchResult).BytesPerOp) }},
 	{"minst_per_sec", true, func(v any) float64 { return v.(ReplayBenchResult).MInstPerSec }},
 	{"peak_bytes", false, func(v any) float64 { return float64(v.(ReplayBenchResult).PeakBytes) }},
-	{"memo_hit_rate", true, func(v any) float64 { return v.(ReplayBenchResult).MemoHitRate }},
 }
 
 func diffReplay(oldRaw, newRaw []byte, oldPath, newPath string, threshold float64) (*DiffReport, error) {

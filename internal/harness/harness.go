@@ -58,11 +58,9 @@ type Runner struct {
 	// trace memory is O(ChunkSize) at any fuel. 0 means
 	// emu.DefaultChunkSize. Results are bit-identical at every setting.
 	ChunkSize int
-	// NoMemo disables basic-block timing memoization in every simulation
-	// this runner starts; NoSpecialize disables the config-specialized
-	// replay kernels. Results are byte-identical at every setting — both
-	// are escape hatches and differential-testing levers.
-	NoMemo       bool
+	// NoSpecialize disables the config-specialized replay kernels in every
+	// simulation this runner starts. Results are byte-identical either
+	// way — it is an escape hatch and a differential-testing lever.
 	NoSpecialize bool
 	// Counters, when non-nil, receives work-volume telemetry (lab-cache
 	// hits/misses, replayed chunks and entries). Purely observational:
@@ -144,7 +142,6 @@ type Lab struct {
 
 	fuel     int64     // runner fuel, for streaming re-emulation
 	chunk    int       // streaming chunk size
-	noMemo   bool      // Runner.NoMemo
 	noSpec   bool      // Runner.NoSpecialize
 	counters *Counters // work telemetry (Runner.Counters; may be nil)
 
@@ -228,7 +225,7 @@ func (r *Runner) buildLab(ctx context.Context, w *workload.Workload) (*Lab, erro
 		chunk = emu.DefaultChunkSize
 	}
 	l := &Lab{W: w, Prog: p, Heur: p.Classes, Profile: lp, EmuRes: res,
-		fuel: r.Fuel, chunk: chunk, noMemo: r.NoMemo, noSpec: r.NoSpecialize,
+		fuel: r.Fuel, chunk: chunk, noSpec: r.NoSpecialize,
 		counters: r.Counters}
 	l.Reclass = core.Reclassify(l.Heur, lp.Rates(), 0)
 	l.HeurFlavors = l.Heur.Overlay(p.Machine)
@@ -261,7 +258,6 @@ func (l *Lab) SimulateBatch(ctx context.Context, specs []pipeline.BatchSpec) ([]
 		return nil, err
 	}
 	for _, sim := range sims {
-		sim.SetNoMemo(l.noMemo)
 		sim.SetNoSpecialize(l.noSpec)
 	}
 	_, err = emu.StreamTraceContext(ctx, l.Prog.Machine, l.fuel, l.chunk, func(chunk *emu.Trace) error {
@@ -280,7 +276,6 @@ func (l *Lab) SimulateBatch(ctx context.Context, specs []pipeline.BatchSpec) ([]
 	ms := make([]*pipeline.Metrics, len(sims))
 	for i, sim := range sims {
 		ms[i] = sim.Metrics()
-		l.counters.CountMemo(ms[i].Memo)
 		if ms[i].MechStats != nil {
 			l.counters.CountMech(ms[i].MechKind, *ms[i].MechStats)
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"elag/internal/asm"
 	"elag/internal/emu"
 	"elag/internal/pipeline"
 	"elag/internal/workload"
@@ -17,10 +16,9 @@ import (
 
 // ReplayBenchSchema versions the elag-bench -replaybench JSON document
 // (BENCH_replay.json in the repository root); bump on any field-shape
-// change. v3 adds memo_hit_rate and the memo-off entry pairs, and switches
-// the per-configuration replay entries to the streaming path (the supported
-// production configuration), retiring the resident-trace variants.
-const ReplayBenchSchema = "elag-replaybench/v3"
+// change. v4 drops memo_hit_rate, the memo-off entry twins and the
+// synthetic hot-loop entries along with block-timing memoization itself.
+const ReplayBenchSchema = "elag-replaybench/v4"
 
 // ReplayBenchResult is one microbenchmark: the timing model replaying the
 // prepared SPEC traces under one configuration (or configuration batch).
@@ -35,10 +33,6 @@ type ReplayBenchResult struct {
 	// otherwise idle heap: the live-memory cost of the engine shape, which
 	// is what streaming bounds (resident traces dominate it otherwise).
 	PeakBytes int64 `json:"peak_bytes"`
-	// MemoHitRate is block-memo hits over block entries, aggregated across
-	// every simulation the entry ran (0 on -nomemo entries, where the
-	// memoizer never engages).
-	MemoHitRate float64 `json:"memo_hit_rate"`
 }
 
 // ReplayBenchDoc is the machine-readable replay-throughput record, the
@@ -91,28 +85,6 @@ func allSpecs(l *Lab) []pipeline.BatchSpec {
 	}
 }
 
-// hotLoopSrc is a fixed-address hot loop: the recurrence structure that
-// basic-block timing memoization exploits. The SPEC and Media workloads
-// stride their load addresses, so their block states never recur exactly
-// and the memoizer audits itself off (memo_hit_rate 0, on/off parity);
-// this entry measures what the fast path delivers when states do recur.
-const hotLoopSrc = `
-	main:	li r9, 0
-		li r20, 65536
-		li r21, 139264    ; NOT 64K from r20 (would alias in the D-cache)
-	loop:	ld8_p r1, r20(0)
-		ld8_e r2, r21(8)
-		add r3, r1, r2
-		st8 r3, r20(16)
-		add r4, r3, 5
-		mul r5, r4, 3
-		xor r6, r5, 255
-		and r7, r6, 7
-		add r9, r9, 1
-		blt r9, 100000000, loop
-		halt r0
-`
-
 // ReplayBench measures trace-replay throughput over the Table-2 workload.
 // All entries run the streaming path (the trace is never materialized —
 // peak_bytes stays O(chunk)); labs are built outside the timed region, so
@@ -122,69 +94,37 @@ const hotLoopSrc = `
 // architecture. "seq-all" runs the full five-configuration grid per
 // benchmark the pre-batching way (one materialized emulation per cell) and
 // "batch-all" the batched way (one streamed emulation shared by all cells);
-// their ns/op ratio is the single-pass speedup. Every entry has a "-nomemo"
-// twin with basic-block timing memoization disabled — the pair quantifies
-// the memo fast path, and memo_hit_rate records how often it engaged.
-// "replay-hotloop" replays a synthetic fixed-address loop (hotLoopSrc)
-// where the memoizer actually engages; on the real workloads it audits
-// itself off and the pairs measure its overhead floor instead.
+// their ns/op ratio is the single-pass speedup.
 func (r *Runner) ReplayBench(ctx context.Context) (*ReplayBenchDoc, error) {
 	benches := workload.BySuite(workload.SPEC)
 	chunk := r.ChunkSize
 	if chunk <= 0 {
 		chunk = emu.DefaultChunkSize
 	}
-	buildLabs := func(rr *Runner) ([]*Lab, error) {
-		labs := make([]*Lab, len(benches))
-		for i, w := range benches {
-			l, err := rr.Lab(ctx, w)
-			if err != nil {
-				return nil, err
-			}
-			labs[i] = l
-		}
-		return labs, nil
-	}
-	// Two streaming lab sets: the memo switch is a runner property, and a
-	// lab carries its runner's setting into every simulation it serves.
+	// A private runner: the entries measure the default kernels whatever
+	// the caller's NoSpecialize, and never read a row cache.
 	rs := &Runner{Fuel: r.Fuel, ChunkSize: chunk}
-	labs, err := buildLabs(rs)
-	if err != nil {
-		return nil, err
-	}
-	rsOff := &Runner{Fuel: r.Fuel, ChunkSize: chunk, NoMemo: true}
-	labsOff, err := buildLabs(rsOff)
-	if err != nil {
-		return nil, err
-	}
+	labs := make([]*Lab, len(benches))
 	var insts int64
-	for _, l := range labs {
+	for i, w := range benches {
+		l, err := rs.Lab(ctx, w)
+		if err != nil {
+			return nil, err
+		}
+		labs[i] = l
 		insts += l.EmuRes.DynamicInsts
-	}
-	hotProg, err := asm.Assemble(hotLoopSrc)
-	if err != nil {
-		return nil, err
-	}
-	// Dry-count the loop's dynamic length under the fuel budget so the
-	// hotloop entries report minst_per_sec on the same basis as the rest.
-	hotRes, _, err := emu.RunTrace(hotProg, r.Fuel, false)
-	if err != nil && !errors.Is(err, emu.ErrFuel) {
-		return nil, err
 	}
 
 	doc := &ReplayBenchDoc{Schema: ReplayBenchSchema, Fuel: r.Fuel}
-	// add times one entry: all runs one op, returning the memo counters of
-	// the simulations it ran, accumulated across the validation pass and
-	// every benchmark iteration (the hit rate is a ratio, so accumulation
-	// is harmless). insts is the dynamic instructions one op replays.
-	add := func(name string, insts int64, all func() (pipeline.MemoStats, error)) error {
-		var memo pipeline.MemoStats
+	// add times one entry: op runs one simulation of every lab; insts is
+	// the dynamic instructions one op replays.
+	add := func(name string, insts int64, sim func(l *Lab) error) error {
 		op := func() error {
-			st, err := all()
-			if err != nil {
-				return err
+			for _, l := range labs {
+				if err := sim(l); err != nil {
+					return err
+				}
 			}
-			memo.Add(st)
 			return nil
 		}
 		// Validate once outside the benchmark — testing.Benchmark has no
@@ -209,110 +149,54 @@ func (r *Runner) ReplayBench(ctx context.Context) (*ReplayBenchDoc, error) {
 			BytesPerOp:  br.AllocedBytesPerOp(),
 			MInstPerSec: float64(insts) * float64(br.N) / br.T.Seconds() / 1e6,
 			PeakBytes:   peak,
-			MemoHitRate: memo.HitRate(),
 		})
 		return nil
 	}
-	// overLabs lifts a per-lab simulation into one op over a lab set.
-	overLabs := func(labs []*Lab, sim func(l *Lab) (pipeline.MemoStats, error)) func() (pipeline.MemoStats, error) {
-		return func() (pipeline.MemoStats, error) {
-			var memo pipeline.MemoStats
-			for _, l := range labs {
-				st, err := sim(l)
-				if err != nil {
-					return memo, err
-				}
-				memo.Add(st)
-			}
-			return memo, nil
-		}
-	}
 
-	table2 := func(l *Lab) (pipeline.MemoStats, error) {
-		m, err := l.Simulate(ctx, CompilerDual(), l.HeurFlavors)
-		if err != nil {
-			return pipeline.MemoStats{}, err
-		}
-		return m.Memo, nil
+	table2 := func(l *Lab) error {
+		_, err := l.Simulate(ctx, CompilerDual(), l.HeurFlavors)
+		return err
 	}
-	base := func(l *Lab) (pipeline.MemoStats, error) {
-		m, err := l.Simulate(ctx, pipeline.PaperBase(), nil)
-		if err != nil {
-			return pipeline.MemoStats{}, err
-		}
-		return m.Memo, nil
+	base := func(l *Lab) error {
+		_, err := l.Simulate(ctx, pipeline.PaperBase(), nil)
+		return err
 	}
-	seqAll := func(noMemo bool) func(l *Lab) (pipeline.MemoStats, error) {
-		return func(l *Lab) (pipeline.MemoStats, error) {
-			// The pre-batching grid engine: every cell pays its own
-			// architectural execution (materialize + replay).
-			var memo pipeline.MemoStats
-			for _, sp := range allSpecs(l) {
-				_, trace, err := emu.RunTrace(l.Prog.Machine, r.Fuel, true)
-				if err != nil && !errors.Is(err, emu.ErrFuel) {
-					return memo, err
-				}
-				sim, err := pipeline.New(sp.Config, l.Prog.Machine, sp.Flavors)
-				if err != nil {
-					return memo, err
-				}
-				sim.SetNoMemo(noMemo)
-				m, err := sim.Run(trace)
-				if err != nil {
-					return memo, err
-				}
-				memo.Add(m.Memo)
+	seqAll := func(l *Lab) error {
+		// The pre-batching grid engine: every cell pays its own
+		// architectural execution (materialize + replay).
+		for _, sp := range allSpecs(l) {
+			_, trace, err := emu.RunTrace(l.Prog.Machine, r.Fuel, true)
+			if err != nil && !errors.Is(err, emu.ErrFuel) {
+				return err
 			}
-			return memo, nil
-		}
-	}
-	batchAll := func(l *Lab) (pipeline.MemoStats, error) {
-		// One streamed architectural execution shared by all five
-		// configurations. The lab's memo setting does not reach this
-		// engine, so apply it through the specs.
-		var memo pipeline.MemoStats
-		specs := allSpecs(l)
-		for i := range specs {
-			specs[i].NoMemo = l.noMemo
-		}
-		ms, _, err := pipeline.BatchReplayContext(ctx, l.Prog.Machine, r.Fuel, chunk, specs)
-		if err != nil {
-			return memo, err
-		}
-		for _, m := range ms {
-			memo.Add(m.Memo)
-		}
-		return memo, nil
-	}
-
-	hotLoop := func(noMemo bool) func() (pipeline.MemoStats, error) {
-		return func() (pipeline.MemoStats, error) {
-			specs := []pipeline.BatchSpec{{Config: CompilerDual(), NoMemo: noMemo}}
-			ms, _, err := pipeline.BatchReplayContext(ctx, hotProg, r.Fuel, chunk, specs)
+			sim, err := pipeline.New(sp.Config, l.Prog.Machine, sp.Flavors)
 			if err != nil {
-				return pipeline.MemoStats{}, err
+				return err
 			}
-			return ms[0].Memo, nil
+			if _, err := sim.Run(trace); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	batchAll := func(l *Lab) error {
+		// One streamed architectural execution shared by all five
+		// configurations.
+		_, _, err := pipeline.BatchReplayContext(ctx, l.Prog.Machine, r.Fuel, chunk, allSpecs(l))
+		return err
 	}
 
 	for _, e := range []struct {
 		name  string
 		insts int64
-		all   func() (pipeline.MemoStats, error)
+		sim   func(l *Lab) error
 	}{
-		{"replay-table2", insts, overLabs(labs, table2)},
-		{"replay-table2-nomemo", insts, overLabs(labsOff, table2)},
-		{"replay-base", insts, overLabs(labs, base)},
-		{"replay-base-nomemo", insts, overLabs(labsOff, base)},
-		{"seq-all", insts * 5, overLabs(labs, seqAll(false))},
-		{"seq-all-nomemo", insts * 5, overLabs(labsOff, seqAll(true))},
-		{"batch-all", insts * 5, overLabs(labs, batchAll)},
-		{"batch-all-nomemo", insts * 5, overLabs(labsOff, batchAll)},
-		{"replay-hotloop", hotRes.DynamicInsts, hotLoop(false)},
-		{"replay-hotloop-nomemo", hotRes.DynamicInsts, hotLoop(true)},
+		{"replay-table2", insts, table2},
+		{"replay-base", insts, base},
+		{"seq-all", insts * 5, seqAll},
+		{"batch-all", insts * 5, batchAll},
 	} {
-		if err := add(e.name, e.insts, e.all); err != nil {
+		if err := add(e.name, e.insts, e.sim); err != nil {
 			return nil, err
 		}
 	}

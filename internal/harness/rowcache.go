@@ -27,9 +27,9 @@ const rowKeySchema = "elag-grid-row/v2"
 // shape beyond the name (figure series labels), so a series change
 // misses cleanly. The benchmark is keyed by name and source — editing a
 // workload invalidates its rows. BenchSchema participates so a document
-// shape bump invalidates everything. Parallelism, batching, memoization
-// and kernel specialization are excluded: results are byte-identical at
-// every setting (DESIGN.md §10/§11/§15).
+// shape bump invalidates everything. Parallelism, batching and kernel
+// specialization are excluded: results are byte-identical at every
+// setting (DESIGN.md §10/§11/§15).
 func (r *Runner) rowKey(exp string, extra []string, w *workload.Workload) artifact.Key {
 	d := artifact.NewDigest(rowKeySchema)
 	d.Str("bench_schema", BenchSchema)

@@ -51,6 +51,16 @@ func TestRegistry(t *testing.T) {
 	if _, err := mech.New(mech.Spec{Kind: "no-such"}); err == nil {
 		t.Error("New(unknown kind): want error")
 	}
+	// The paper kinds are spec-only rows: they validate, but the pipeline
+	// builds them directly, so the registry constructs no instance.
+	for _, kind := range []string{"addrpred", "earlycalc"} {
+		if err := mech.Validate(mech.Spec{Kind: kind}); err != nil {
+			t.Errorf("Validate(%s): %v", kind, err)
+		}
+		if _, err := mech.New(mech.Spec{Kind: kind}); err == nil {
+			t.Errorf("New(%s): want spec-only error", kind)
+		}
+	}
 	if err := mech.Validate(mech.Spec{Kind: "stride", Entries: 48}); err == nil {
 		t.Error("Validate(stride:48): want power-of-two error")
 	}
@@ -124,106 +134,28 @@ func TestPCAXPredicts(t *testing.T) {
 	checkAlgebra(t, m)
 }
 
-// TestSnapshotRoundTrip drives each mechanism, snapshots every set,
-// perturbs it with more training, restores, and checks behaviour and
-// snapshots match the originals — the memo layer's core requirement.
-func TestSnapshotRoundTrip(t *testing.T) {
-	specs := []mech.Spec{
-		{Kind: "stride", Entries: 16},
-		{Kind: "pcax", Entries: 16, Assoc: 4},
-		{Kind: "addrpred", Entries: 16},
-		{Kind: "earlycalc", Entries: 4},
-	}
-	for _, spec := range specs {
-		t.Run(spec.Kind, func(t *testing.T) {
-			m, err := mech.New(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := int64(0); i < 100; i++ {
-				pc := i % 23
-				m.Train(pc, 64*pc+8*i)
-				m.Lookup((i * 7) % 23)
-			}
-			snapAll := func(m mech.Mechanism) [][]mech.EntrySnap {
-				out := make([][]mech.EntrySnap, m.Sets())
-				for s := 0; s < m.Sets(); s++ {
-					out[s] = m.SnapSet(s, nil)
-				}
-				return out
-			}
-			saved := snapAll(m)
-			stamp := m.Stamp()
-			for i := int64(0); i < 50; i++ {
-				m.Train(i%29, 1000+3*i)
-			}
-			for s := range saved {
-				for w, snap := range saved[s] {
-					m.PutEntry(s, w, snap)
-				}
-			}
-			m.AddStamp(stamp - m.Stamp())
-			got := snapAll(m)
-			for s := range saved {
-				if len(got[s]) != len(saved[s]) {
-					t.Fatalf("set %d: %d ways, want %d", s, len(got[s]), len(saved[s]))
-				}
-				for w := range saved[s] {
-					if got[s][w] != saved[s][w] {
-						t.Fatalf("set %d way %d: %+v != %+v", s, w, got[s][w], saved[s][w])
-					}
-				}
-			}
-			if m.Stamp() != stamp {
-				t.Fatalf("stamp %d, want %d", m.Stamp(), stamp)
-			}
-			checkAlgebra(t, m)
-		})
-	}
-}
-
+// TestObserverToggle: an attached observer sees every lookup and train; a
+// detached one sees none.
 func TestObserverToggle(t *testing.T) {
-	for _, kind := range []string{"stride", "pcax", "addrpred"} {
+	for _, kind := range []string{"stride", "pcax"} {
 		m, err := mech.New(mech.Spec{Kind: kind, Entries: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.HasObserver() {
-			t.Fatalf("%s: fresh mechanism has observer", kind)
-		}
 		var n int
 		m.SetObserver(func(mech.Event) { n++ })
-		if !m.HasObserver() {
-			t.Fatalf("%s: observer not attached", kind)
-		}
 		m.Train(1, 100)
 		m.Lookup(1)
-		if n == 0 {
-			t.Fatalf("%s: observer saw no events", kind)
+		if n != 2 {
+			t.Fatalf("%s: attached observer saw %d events, want 2", kind, n)
 		}
 		m.SetObserver(nil)
-		if m.HasObserver() {
-			t.Fatalf("%s: observer not detached", kind)
+		n = 0
+		m.Train(1, 108)
+		m.Lookup(1)
+		if n != 0 {
+			t.Fatalf("%s: detached observer saw %d events", kind, n)
 		}
+		checkAlgebra(t, m)
 	}
-}
-
-func TestStatsDeltaReplay(t *testing.T) {
-	m, _ := mech.New(mech.Spec{Kind: "pcax"})
-	for i := int64(0); i < 40; i++ {
-		m.Train(i%5, 8*i)
-		m.Lookup(i % 5)
-	}
-	pre := m.Stats()
-	for i := int64(0); i < 20; i++ {
-		m.Train(i%5, 16*i)
-		m.Lookup(i % 5)
-	}
-	delta := m.Stats().Sub(pre)
-	m.AddStats(delta)
-	want := m.Stats()
-	if want.Lookups != pre.Lookups+2*delta.Lookups {
-		t.Fatalf("AddStats replay mismatch: %+v", want)
-	}
-	checkAlgebra(t, m)
 }

@@ -133,41 +133,5 @@ func (t *Table) Train(pc, ea int64) {
 // Stats returns the accumulated counters.
 func (t *Table) Stats() mech.Stats { return t.stats }
 
-// AddStats merges a recorded delta (memo replay).
-func (t *Table) AddStats(d mech.Stats) { t.stats.Add(d) }
-
-// Sets returns the entry count (direct-mapped: one way per set).
-func (t *Table) Sets() int { return len(t.entries) }
-
-// Assoc returns 1.
-func (t *Table) Assoc() int { return 1 }
-
-// SetIndexOf returns the slot pc maps to.
-func (t *Table) SetIndexOf(pc int64) int { return int(pc & t.mask) }
-
-// Stamp returns 0: a direct-mapped table has no recency state.
-func (t *Table) Stamp() int64 { return 0 }
-
-// AddStamp is a no-op (no recency state).
-func (t *Table) AddStamp(int64) {}
-
-// SnapSet appends the slot's single way: V = [last, stride, conf, valid].
-func (t *Table) SnapSet(set int, dst []mech.EntrySnap) []mech.EntrySnap {
-	e := t.entries[set]
-	var valid int64
-	if e.valid {
-		valid = 1
-	}
-	return append(dst, mech.EntrySnap{Tag: e.tag, V: [4]int64{e.last, e.stride, e.conf, valid}})
-}
-
-// PutEntry restores one slot exactly as snapped.
-func (t *Table) PutEntry(set, way int, s mech.EntrySnap) {
-	t.entries[set] = entry{valid: s.V[3] != 0, tag: s.Tag, last: s.V[0], stride: s.V[1], conf: s.V[2]}
-}
-
 // SetObserver attaches (nil detaches) an event observer.
 func (t *Table) SetObserver(f func(mech.Event)) { t.ob = f }
-
-// HasObserver reports whether an observer is attached.
-func (t *Table) HasObserver() bool { return t.ob != nil }

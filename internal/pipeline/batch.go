@@ -21,13 +21,12 @@ import (
 
 // BatchSpec is one configuration cell of a batched replay: a hardware
 // configuration plus the load-flavour overlay to resolve into its decode
-// cache (nil uses the program's baked-in flavours). NoMemo / NoSpecialize
-// disable the replay fast paths for this cell (results are byte-identical
-// either way — see SetNoMemo / SetNoSpecialize).
+// cache (nil uses the program's baked-in flavours). NoSpecialize disables
+// the specialized replay kernels for this cell (results are byte-identical
+// either way — see SetNoSpecialize).
 type BatchSpec struct {
 	Config       Config
 	Flavors      isa.FlavorOverlay
-	NoMemo       bool
 	NoSpecialize bool
 }
 
@@ -40,7 +39,6 @@ func NewBatch(prog *isa.Program, specs []BatchSpec) ([]*Sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim.SetNoMemo(sp.NoMemo)
 		sim.SetNoSpecialize(sp.NoSpecialize)
 		sims[i] = sim
 	}

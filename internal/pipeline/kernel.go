@@ -1,23 +1,15 @@
 package pipeline
 
-// The specialized chunk walker: the per-chunk replay loop that tiles the
-// trace into static blocks, consults the block-timing memoizer (memo.go) at
-// each tile head, and falls through to the generic interpreter (StepInst)
-// on any miss or disqualifying condition. Both RunChunk and RunChunkBatch
-// route through runChunkCols, so sequential, streamed, and batched replays
-// share one fast path. The interpreter remains the source of truth: every
-// recording is made by interpreting, and every gate failure simply
-// interprets, so outputs are byte-identical with the fast path on or off.
+// The specialized chunk walker: the per-chunk replay loop over hoisted
+// trace columns. Both RunChunk and RunChunkBatch route through
+// runChunkCols, so sequential, streamed, and batched replays share one
+// engine. Specialization lives below it: the per-PC speculation-path byte
+// resolved into the decode cache (speculateFast) and the fused
+// direct-mapped cache leaf (timedCache.fast). SetNoSpecialize falls back to
+// the generic speculate dispatch and the full cache access; outputs are
+// byte-identical either way.
 
-import (
-	"elag/internal/addrpred"
-	"elag/internal/bpred"
-	"elag/internal/cache"
-	"elag/internal/earlycalc"
-	"elag/internal/emu"
-	"elag/internal/isa"
-	"elag/internal/mech"
-)
+import "elag/internal/emu"
 
 // refreshFastPaths re-derives the per-chunk fast-path eligibility flags.
 // It runs at chunk boundaries only, so observers attached or detached
@@ -27,23 +19,7 @@ func (s *Sim) refreshFastPaths() {
 	_, _, _, dcAssoc := s.dc.c.Geometry()
 	s.ic.fast = !s.noSpec && icAssoc == 1 && s.ic.c.Observer == nil
 	s.dc.fast = !s.noSpec && dcAssoc == 1 && s.dc.c.Observer == nil
-	// Memoization requires that nothing observes per-instruction or
-	// per-access behaviour: an attached sink, per-PC attribution, stage
-	// tracing, or any component observer forces full interpretation
-	// (which is trivially byte-identical).
-	s.memoOK = !s.noMemo && s.sink == nil && s.attrib == nil && s.traceCap == 0 &&
-		s.ic.c.Observer == nil && s.dc.c.Observer == nil &&
-		s.ic.onMiss == nil && s.dc.onMiss == nil &&
-		s.btb.Observer == nil &&
-		(s.table == nil || s.table.Observer == nil) &&
-		(s.regcache == nil || s.regcache.Observer == nil) &&
-		(s.assist == nil || !s.assist.HasObserver())
 }
-
-// SetNoMemo disables (true) or re-enables (false) basic-block timing
-// memoization for this Sim. Results are byte-identical either way; the
-// switch exists as an escape hatch and for differential testing.
-func (s *Sim) SetNoMemo(v bool) { s.noMemo = v }
 
 // SetNoSpecialize disables (true) or re-enables (false) the
 // config-specialized kernels: the per-PC speculation-path dispatch and the
@@ -63,135 +39,11 @@ func (s *Sim) SetNoSpecialize(v bool) {
 	}
 }
 
-// SetMemoBudget overrides the byte budget of the block-recording store
-// (default DefaultMemoBudget). Tiny budgets force constant eviction and
-// fall-through to the interpreter — useful for pressure testing.
-func (s *Sim) SetMemoBudget(n int) {
-	if s.memo == nil {
-		s.memo = newBlockMemo(len(s.prog.Insts))
-	}
-	s.memo.budget = n
-	for s.memo.bytes > s.memo.budget && s.memo.mru != s.memo.lru {
-		s.memo.evict(s.memo.lru)
-	}
-	s.memo.stats.Bytes = int64(s.memo.bytes)
-}
-
-// MemoStats returns the memoizer's counters so far (zero if memoization
-// never engaged).
-func (s *Sim) MemoStats() MemoStats {
-	st := MemoStats{}
-	if s.memo != nil {
-		st = s.memo.stats
-	}
-	st.Kernel = s.KernelID()
-	return st
-}
-
-// KernelID identifies the replay kernel variant this Sim currently selects:
-// 0 = generic dispatch (SetNoSpecialize), 1 = specialized speculation-path
-// dispatch, 2 = specialized dispatch plus fused direct-mapped cache leaves
-// for both caches.
-func (s *Sim) KernelID() int {
-	if s.noSpec {
-		return 0
-	}
-	s.refreshFastPaths()
-	if s.ic.fast && s.dc.fast {
-		return 2
-	}
-	return 1
-}
-
-// blockExtent tiles the trace at i: the block runs through the last taken
-// control transfer within the next memoMaxLen entries (a superblock — the
-// dynamic path is part of the block's identity), or the full window if none
-// ends it. A window truncated by the chunk end without a transfer is not a
-// natural block (the same head would tile differently under another chunk
-// size in recording extent — but recordings are keyed by content, so only
-// the hit rate, never correctness, depends on tiling).
-func blockExtent(pcs, nextPCs []int32, i, n int) (L int, natural bool) {
-	end := i + memoMaxLen
-	full := end <= n
-	if !full {
-		end = n
-	}
-	last := -1
-	for j := i; j < end; j++ {
-		if nextPCs[j] != pcs[j]+1 {
-			last = j
-		}
-	}
-	if last >= 0 {
-		return last - i + 1, true
-	}
-	if full {
-		return memoMaxLen, true
-	}
-	return end - i, false
-}
-
 // runChunkCols is the shared chunk walker over hoisted trace columns.
 func (s *Sim) runChunkCols(pcs, nextPCs []int32, eas, baseVals []int64, takens []bool, seq0 int64) error {
 	s.refreshFastPaths()
-	n := len(pcs)
 	var te emu.TraceEntry
-	if !s.memoOK {
-		for i := 0; i < n; i++ {
-			te.PC = int(pcs[i])
-			te.SeqNum = seq0 + int64(i)
-			te.EA = eas[i]
-			te.BaseVal = baseVals[i]
-			te.Taken = takens[i]
-			te.NextPC = int(nextPCs[i])
-			if err := s.StepInst(&te); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if s.memo == nil {
-		s.memo = newBlockMemo(len(s.prog.Insts))
-	}
-	mm := s.memo
-	i, tryAt, recEnd := 0, 0, -1
-	if mm.dead {
-		tryAt = n // payoff audit shut the memoizer off: pure interpretation
-	}
-	for i < n {
-		if s.rec == nil && i == tryAt {
-			L, natural := blockExtent(pcs, nextPCs, i, n)
-			if natural && L >= memoMinLen && s.seq >= frontEndSlots &&
-				int(pcs[i]) >= 0 && int(pcs[i]) < len(mm.heads) {
-				key := memoHash(pcs, nextPCs, eas, i, L)
-				mm.stats.BlockEntries++
-				if mm.stats.BlockEntries%memoProbation == 0 {
-					if mm.audit(); mm.dead {
-						// The kill fired before this entry's lookup ran;
-						// uncount it so Hits+Misses==BlockEntries stays exact.
-						mm.stats.BlockEntries--
-						tryAt = n
-						continue
-					}
-				}
-				if r := s.memoFind(key, pcs, nextPCs, eas, takens, i, L); r != nil {
-					s.memoApply(r)
-					mm.stats.Hits++
-					mm.stats.HitInsts += int64(L)
-					mm.noteHit(r)
-					mm.touch(r)
-					i += L
-					tryAt = i
-					continue
-				}
-				mm.stats.Misses++
-				if mm.shouldRecord(pcs[i]) {
-					s.beginRecording(i)
-					recEnd = i + L
-				}
-			}
-			tryAt = i + L
-		}
+	for i := range pcs {
 		te.PC = int(pcs[i])
 		te.SeqNum = seq0 + int64(i)
 		te.EA = eas[i]
@@ -199,771 +51,8 @@ func (s *Sim) runChunkCols(pcs, nextPCs []int32, eas, baseVals []int64, takens [
 		te.Taken = takens[i]
 		te.NextPC = int(nextPCs[i])
 		if err := s.StepInst(&te); err != nil {
-			if s.rec != nil {
-				s.detachRecorder()
-			}
 			return err
 		}
-		i++
-		if i == recEnd && s.rec != nil {
-			s.finishRecording(pcs, nextPCs, eas, takens, i-s.rec.start)
-			recEnd = -1
-		}
 	}
 	return nil
-}
-
-// memoFind walks the bucket chain for key: a hit must match the block's
-// dynamic content (columns) and its entry-state guard. Several recordings
-// of one head with different entry states coexist on the chain.
-func (s *Sim) memoFind(key uint64, pcs, nextPCs []int32, eas []int64, takens []bool, i, L int) *memoRec {
-	colMatch := false
-	for r := s.memo.buckets[key]; r != nil; r = r.bnext {
-		if int(r.n) != L || r.headPC != pcs[i] {
-			continue
-		}
-		if !colsEqual(r, pcs, nextPCs, eas, takens, i, L) {
-			continue
-		}
-		colMatch = true
-		if s.guardMatch(r) {
-			return r
-		}
-	}
-	if colMatch {
-		s.memo.stats.GuardMisses++
-	}
-	return nil
-}
-
-func colsEqual(r *memoRec, pcs, nextPCs []int32, eas []int64, takens []bool, i, L int) bool {
-	for j := 0; j < L; j++ {
-		if r.pcs[j] != pcs[i+j] || r.nextPCs[j] != nextPCs[i+j] ||
-			r.eas[j] != eas[i+j] || r.takens[j] != takens[i+j] {
-			return false
-		}
-	}
-	return true
-}
-
-// ---- recording lifecycle ---------------------------------------------
-
-func (s *Sim) beginRecording(i int) {
-	if s.recArena == nil {
-		s.recArena = &memoRecorder{}
-	}
-	r := s.recArena
-	r.reset()
-	r.start = i
-	r.base = s.nextFetch
-	r.preRegReady = s.regReady
-	r.preFPReady = s.fpReady
-	r.preHist = s.issueHist
-	r.preSeqIdx = s.seqIdx
-	r.preGroupCycle = s.groupCycle
-	r.preGroupCount = s.groupCount
-	r.preLastIssue = s.lastIssue
-	r.preICLastBlock = s.icLastBlock
-	r.preICLastCycle = s.icLastCycle
-	r.preICLastReady = s.icLastReady
-	r.preStoreMax = s.storeMaxMem
-	r.preStores = s.stores
-	r.preStoreHead = s.storeHead
-	r.preICLive = collectLiveFills(s.ic, r.base, r.preICLive[:0])
-	r.preDCLive = collectLiveFills(s.dc, r.base, r.preDCLive[:0])
-	// maxDone is never read inside StepInst, only raised; zeroing it for
-	// the block's duration isolates the block's own maximum, and the
-	// restore below merges it back. No observable difference.
-	r.savedMaxDone = s.maxDone
-	s.maxDone = 0
-	r.preStampIC = s.ic.c.Stamp()
-	r.preStampDC = s.dc.c.Stamp()
-	if s.table != nil {
-		r.preStampTab = s.table.Stamp()
-	}
-	if s.regcache != nil {
-		r.preStampRC = s.regcache.Stamp()
-	}
-	if s.assist != nil {
-		r.preStampMech = s.assist.Stamp()
-	}
-	r.preM = captureMetrics(&s.m)
-	r.preICStats = s.ic.c.Stats()
-	r.preDCStats = s.dc.c.Stats()
-	r.preBTBStats = s.btb.Stats()
-	if s.table != nil {
-		r.preTabStats = s.table.Stats()
-	}
-	if s.regcache != nil {
-		r.preRCStats = s.regcache.Stats()
-	}
-	if s.assist != nil {
-		r.preMechStats = s.assist.Stats()
-	}
-	s.rec = r
-	s.ic.rec = r
-	s.dc.rec = r
-}
-
-// detachRecorder ends capture (successful or not) and merges the saved
-// maxDone back with the block's own maximum.
-func (s *Sim) detachRecorder() {
-	if s.maxDone < s.rec.savedMaxDone {
-		s.maxDone = s.rec.savedMaxDone
-	}
-	s.rec = nil
-	s.ic.rec = nil
-	s.dc.rec = nil
-}
-
-// finishRecording finalizes the capture into a memoRec and inserts it.
-// Aborted or malformed recordings are discarded; the block was interpreted
-// normally either way, so discarding costs only the lost future hits.
-func (s *Sim) finishRecording(pcs, nextPCs []int32, eas []int64, takens []bool, L int) {
-	r := s.rec
-	b := r.base
-	start := r.start
-	blockMax := s.maxDone // block-local: maxDone was zeroed at begin
-	s.detachRecorder()
-	r.active = false
-	if r.aborted {
-		return
-	}
-	// Exit-state validation: every exit scalar must sit at or above B (the
-	// soundness argument proves they do; a violation means a modeling
-	// change broke an invariant, and we fail safe by not recording).
-	if s.nextFetch < b || s.groupCycle < b || s.lastIssue < b+3 ||
-		s.icLastCycle < b || s.icLastReady < b || blockMax <= b {
-		return
-	}
-
-	// Recordings come from a free pool (capacity survives eviction), so
-	// every field — scalar and slice — is assigned or rebuilt here; nothing
-	// below may rely on zero values from allocation.
-	rec := s.memo.newRec()
-	rec.key = memoHash(pcs, nextPCs, eas, start, L)
-	rec.headPC = pcs[start]
-	rec.n = int32(L)
-
-	rec.groupRel = clampGroup(r.preGroupCycle, b)
-	rec.groupCount = int32(r.preGroupCount)
-	rec.lastIssueRel = clampLastIssue(r.preLastIssue, b)
-	rec.icLastBlock = r.preICLastBlock
-	rec.icCycleRel = clampICCycle(r.preICLastCycle, b)
-	rec.icReadyRel = clampICReady(r.preICLastReady, b)
-	rec.storeMaxRel = clampStoreMax(r.preStoreMax, b)
-
-	rec.exitFetchRel = s.nextFetch - b
-	rec.exitGroupRel = s.groupCycle - b
-	rec.exitGroupCount = int32(s.groupCount)
-	rec.exitLastIssueRel = s.lastIssue - b
-	rec.exitICBlock = s.icLastBlock
-	rec.exitICCycleRel = s.icLastCycle - b
-	rec.exitICReadyRel = s.icLastReady - b
-	rec.blockMaxRel = blockMax - b
-
-	rec.icStampDelta = s.ic.c.Stamp() - r.preStampIC
-	rec.dcStampDelta = s.dc.c.Stamp() - r.preStampDC
-
-	rec.dICStats = subCacheStats(s.ic.c.Stats(), r.preICStats)
-	rec.dDCStats = subCacheStats(s.dc.c.Stats(), r.preDCStats)
-	rec.dBTBStats = bpred.Stats{Branches: s.btb.Stats().Branches - r.preBTBStats.Branches, Mispredicts: s.btb.Stats().Mispredicts - r.preBTBStats.Mispredicts}
-	rec.dm = r.preM.subFrom(captureMetrics(&s.m))
-
-	rec.pcs = append(rec.pcs[:0], pcs[start:start+L]...)
-	rec.nextPCs = append(rec.nextPCs[:0], nextPCs[start:start+L]...)
-	rec.eas = append(rec.eas[:0], eas[start:start+L]...)
-	rec.takens = append(rec.takens[:0], takens[start:start+L]...)
-
-	for k := 0; k < frontEndSlots; k++ {
-		idx := r.preSeqIdx + k
-		if idx >= frontEndSlots {
-			idx -= frontEndSlots
-		}
-		rec.histPre[k] = clampHist(r.preHist[idx], b)
-	}
-	m := L
-	if m > frontEndSlots {
-		m = frontEndSlots
-	}
-	rec.histPost = rec.histPost[:0]
-	for k := 0; k < m; k++ {
-		idx := s.seqIdx - 1 - k
-		for idx < 0 {
-			idx += frontEndSlots
-		}
-		v := s.issueHist[idx] - b
-		if v < 3 { // in-block issues are always >= B+3
-			s.memo.release(rec)
-			return
-		}
-		rec.histPost = append(rec.histPost, v)
-	}
-
-	// Register read/write sets from the decode metadata, mirroring
-	// StepInst's own read and write structure exactly. (Diffing post
-	// against pre values would be unsound: a write landing on a value
-	// equal to the pre value would be dropped, then skipped at an
-	// occurrence whose pre value differs.)
-	clear(r.intR[:])
-	clear(r.fpR[:])
-	clear(r.intW[:])
-	clear(r.fpW[:])
-	nStores := 0
-	for j := start; j < start+L; j++ {
-		pc := int(pcs[j])
-		in := &s.prog.Insts[pc]
-		md := &s.meta[pc]
-		for _, rr := range md.intRegs[:md.nInt] {
-			r.intR[rr] = true
-		}
-		if md.fpA != 0 {
-			r.fpR[md.fpA-1] = true
-		}
-		if md.fpB != 0 {
-			r.fpR[md.fpB-1] = true
-		}
-		switch {
-		case md.isLoad():
-			if md.isFLoad() {
-				r.fpW[in.Rd] = true
-			} else if in.Rd != isa.RegZero {
-				r.intW[in.Rd] = true
-			}
-		case md.isStore():
-			nStores++
-		case md.isBranch():
-		default:
-			if md.wInt != 0 {
-				r.intW[md.wInt-1] = true
-			}
-			if md.wFP != 0 {
-				r.fpW[md.wFP-1] = true
-			}
-		}
-		if in.Op == isa.OpCall && in.Rd != isa.RegZero {
-			r.intW[in.Rd] = true
-		}
-	}
-	rec.intReads, rec.fpReads = rec.intReads[:0], rec.fpReads[:0]
-	rec.intWrites, rec.fpWrites = rec.intWrites[:0], rec.fpWrites[:0]
-	for reg := 0; reg < isa.NumIntRegs; reg++ {
-		if r.intR[reg] {
-			rec.intReads = append(rec.intReads, regRel{r: uint8(reg), rel: clampReg(r.preRegReady[reg], b)})
-		}
-		if r.intW[reg] {
-			rel := s.regReady[reg] - b
-			if rel <= 0 {
-				s.memo.release(rec)
-				return
-			}
-			rec.intWrites = append(rec.intWrites, regRel{r: uint8(reg), rel: rel})
-		}
-	}
-	for reg := 0; reg < isa.NumFPRegs; reg++ {
-		if r.fpR[reg] {
-			rec.fpReads = append(rec.fpReads, regRel{r: uint8(reg), rel: clampReg(r.preFPReady[reg], b)})
-		}
-		if r.fpW[reg] {
-			rel := s.fpReady[reg] - b
-			if rel <= 0 {
-				s.memo.release(rec)
-				return
-			}
-			rec.fpWrites = append(rec.fpWrites, regRel{r: uint8(reg), rel: rel})
-		}
-	}
-
-	// Resource windows: guard the pre counts over every probed cycle,
-	// record the positive deltas. Untouched tracks must be cleared — the
-	// pooled rec may carry a prior block's windows.
-	rec.resAdds = rec.resAdds[:0]
-	for tr := 0; tr < numTracks; tr++ {
-		g := &rec.res[tr]
-		if !r.resTouched[tr] || r.resMaxRel[tr] < 2 {
-			g.q = 0
-			g.pre = g.pre[:0]
-			continue
-		}
-		q := r.resMaxRel[tr]
-		g.q = int32(q)
-		g.pre = append(g.pre[:0], r.resWin[tr][:q-1]...)
-		for j := int64(0); j <= q-2; j++ {
-			cur := s.tracks[tr].peek(b + 2 + j)
-			if d := cur - g.pre[j]; d > 0 {
-				rec.resAdds = append(rec.resAdds, resAdd{tr: uint8(tr), rel: int32(2 + j), add: d})
-			}
-		}
-	}
-
-	// Live stores at entry, in backward ring order from the head: the
-	// offsets pin which slots in-block stores overwrite.
-	rec.liveStores = rec.liveStores[:0]
-	for k := 1; k <= len(r.preStores); k++ {
-		slot := r.preStoreHead - k
-		if slot < 0 {
-			slot += len(r.preStores)
-		}
-		st := &r.preStores[slot]
-		if st.mem-b < 2 {
-			continue
-		}
-		rec.liveStores = append(rec.liveStores, storeLive{
-			back: uint8(k), exeRel: clampStoreExe(st.exe, b),
-			memRel: st.mem - b, ea: st.ea, width: st.width,
-		})
-	}
-	// In-block stores: recordStore wrote them in order at the pre head.
-	rec.storeAdds = rec.storeAdds[:0]
-	for j := 0; j < nStores; j++ {
-		slot := (r.preStoreHead + j) % len(s.stores)
-		st := &s.stores[slot]
-		rec.storeAdds = append(rec.storeAdds, storeAdd{
-			exeRel: st.exe - b, memRel: st.mem - b, ea: st.ea, width: st.width,
-		})
-	}
-
-	rec.icFills = append(rec.icFills[:0], r.icFills...)
-	rec.dcFills = append(rec.dcFills[:0], r.dcFills...)
-	rec.icLive = append(rec.icLive[:0], r.preICLive...)
-	rec.dcLive = append(rec.dcLive[:0], r.preDCLive...)
-
-	rec.icSets, rec.wayPre, rec.icPatch = appendSetGuards(s.ic.c, r.icTouched, r.wayBuf,
-		r.preStampIC, &r.snapScratch, rec.icSets[:0], rec.wayPre[:0], rec.icPatch[:0])
-	rec.dcSets, rec.wayPre, rec.dcPatch = appendSetGuards(s.dc.c, r.dcTouched, r.wayBuf,
-		r.preStampDC, &r.snapScratch, rec.dcSets[:0], rec.wayPre, rec.dcPatch[:0])
-
-	rec.tabSets, rec.tabPre, rec.tabPatch = rec.tabSets[:0], rec.tabPre[:0], rec.tabPatch[:0]
-	rec.tabStampDelta = 0
-	rec.dTabStats = addrpred.Stats{}
-	if s.table != nil {
-		rec.tabStampDelta = s.table.Stamp() - r.preStampTab
-		rec.dTabStats = addrpred.Stats{
-			Probes:      s.table.Stats().Probes - r.preTabStats.Probes,
-			ProbeHits:   s.table.Stats().ProbeHits - r.preTabStats.ProbeHits,
-			Predictions: s.table.Stats().Predictions - r.preTabStats.Predictions,
-			Correct:     s.table.Stats().Correct - r.preTabStats.Correct,
-			Allocations: s.table.Stats().Allocations - r.preTabStats.Allocations,
-		}
-		for _, ts := range r.tabSets {
-			pre := r.tabBuf[ts.off : ts.off+ts.n]
-			rec.tabSets = append(rec.tabSets, setRef{set: ts.set, off: int32(len(rec.tabPre)), n: ts.n})
-			rec.tabPre = append(rec.tabPre, pre...)
-			r.tabScratch = s.table.SnapSet(ts.set, r.tabScratch[:0])
-			for w := range r.tabScratch {
-				if r.tabScratch[w] != pre[w] {
-					snap := r.tabScratch[w]
-					snap.LRU -= r.preStampTab
-					rec.tabPatch = append(rec.tabPatch, tabPatch{set: ts.set, way: uint8(w), snap: snap})
-				}
-			}
-		}
-	}
-
-	rec.mechSets, rec.mechPre, rec.mechPatch = rec.mechSets[:0], rec.mechPre[:0], rec.mechPatch[:0]
-	rec.mechStampDelta = 0
-	rec.dMechStat = mech.Stats{}
-	if s.assist != nil {
-		rec.mechStampDelta = s.assist.Stamp() - r.preStampMech
-		rec.dMechStat = s.assist.Stats().Sub(r.preMechStats)
-		for _, ms := range r.mechSets {
-			pre := r.mechBuf[ms.off : ms.off+ms.n]
-			rec.mechSets = append(rec.mechSets, setRef{set: ms.set, off: int32(len(rec.mechPre)), n: ms.n})
-			rec.mechPre = append(rec.mechPre, pre...)
-			r.mechScratch = s.assist.SnapSet(int(ms.set), r.mechScratch[:0])
-			for w := range r.mechScratch {
-				if r.mechScratch[w] != pre[w] {
-					snap := r.mechScratch[w]
-					snap.LRU -= r.preStampMech
-					rec.mechPatch = append(rec.mechPatch, mechPatch{set: ms.set, way: uint8(w), snap: snap})
-				}
-			}
-		}
-	}
-
-	rec.btbs, rec.btbPatch = rec.btbs[:0], rec.btbPatch[:0]
-	for bi, idx := range r.btbIdx {
-		rec.btbs = append(rec.btbs, btbGuard{idx: idx, snap: r.btbPre[bi]})
-		if post := s.btb.SnapEntry(idx); post != r.btbPre[bi] {
-			rec.btbPatch = append(rec.btbPatch, btbGuard{idx: idx, snap: post})
-		}
-	}
-
-	rec.rc, rec.rcPatchs = rec.rc[:0], rec.rcPatchs[:0]
-	rec.rcStampDelta = 0
-	rec.dRCStats = earlycalc.Stats{}
-	if s.regcache != nil {
-		rec.rcStampDelta = s.regcache.Stamp() - r.preStampRC
-		rec.dRCStats = earlycalc.Stats{
-			Lookups: s.regcache.Stats().Lookups - r.preRCStats.Lookups,
-			Hits:    s.regcache.Stats().Hits - r.preRCStats.Hits,
-			Binds:   s.regcache.Stats().Binds - r.preRCStats.Binds,
-		}
-		if r.rcTouched {
-			rec.rc = append(rec.rc[:0], r.rcPre...)
-			r.rcScratch = s.regcache.Snap(r.rcScratch[:0])
-			for w := range r.rcScratch {
-				if r.rcScratch[w] != r.rcPre[w] {
-					snap := r.rcScratch[w]
-					snap.LRU -= r.preStampRC
-					rec.rcPatchs = append(rec.rcPatchs, rcPatch{idx: uint8(w), snap: snap})
-				}
-			}
-		}
-	}
-
-	s.memo.insert(rec)
-}
-
-// appendSetGuards diffs the touched sets of one cache against their
-// pre-snapshots, appending set refs into refs, pre snapshots into the
-// recording's shared arena, and changed-way patches (LRU stamp-relative)
-// into patches. ic and dc share one arena: ic appends first, dc continues.
-func appendSetGuards(c *cache.Cache, touched []recSet, buf []cache.WaySnap, preStamp int64,
-	scratch *[]cache.WaySnap, refs []setRef, arena []cache.WaySnap, patches []wayPatch,
-) ([]setRef, []cache.WaySnap, []wayPatch) {
-	for _, ts := range touched {
-		pre := buf[ts.off : ts.off+ts.n]
-		refs = append(refs, setRef{set: ts.set, off: int32(len(arena)), n: ts.n})
-		arena = append(arena, pre...)
-		*scratch = c.SnapSet(ts.set, (*scratch)[:0])
-		for w := range *scratch {
-			if (*scratch)[w] != pre[w] {
-				snap := (*scratch)[w]
-				snap.LRU -= preStamp
-				patches = append(patches, wayPatch{set: ts.set, way: uint8(w), snap: snap})
-			}
-		}
-	}
-	return refs, arena, patches
-}
-
-// ---- guard ------------------------------------------------------------
-
-// guardMatch reports whether the Sim's current state at block entry
-// (B = nextFetch) lies in the same equivalence class as the recording's.
-func (s *Sim) guardMatch(r *memoRec) bool {
-	b := s.nextFetch
-	if clampGroup(s.groupCycle, b) != r.groupRel {
-		return false
-	}
-	if r.groupRel == 0 && int32(s.groupCount) != r.groupCount {
-		return false
-	}
-	if clampLastIssue(s.lastIssue, b) != r.lastIssueRel ||
-		s.icLastBlock != r.icLastBlock ||
-		clampICCycle(s.icLastCycle, b) != r.icCycleRel ||
-		clampICReady(s.icLastReady, b) != r.icReadyRel ||
-		clampStoreMax(s.storeMaxMem, b) != r.storeMaxRel {
-		return false
-	}
-	for k := 0; k < frontEndSlots; k++ {
-		idx := s.seqIdx + k
-		if idx >= frontEndSlots {
-			idx -= frontEndSlots
-		}
-		if clampHist(s.issueHist[idx], b) != r.histPre[k] {
-			return false
-		}
-	}
-	for _, rr := range r.intReads {
-		if clampReg(s.regReady[rr.r], b) != rr.rel {
-			return false
-		}
-	}
-	for _, rr := range r.fpReads {
-		if clampReg(s.fpReady[rr.r], b) != rr.rel {
-			return false
-		}
-	}
-	for tr := 0; tr < numTracks; tr++ {
-		g := &r.res[tr]
-		t := s.tracks[tr]
-		for j := range g.pre {
-			if t.peek(b+2+int64(j)) != g.pre[j] {
-				return false
-			}
-		}
-	}
-	li := 0
-	for k := 1; k <= len(s.stores); k++ {
-		slot := s.storeHead - k
-		if slot < 0 {
-			slot += len(s.stores)
-		}
-		st := &s.stores[slot]
-		if st.mem-b < 2 {
-			continue
-		}
-		if li >= len(r.liveStores) {
-			return false
-		}
-		lv := &r.liveStores[li]
-		if lv.back != uint8(k) || lv.memRel != st.mem-b || lv.ea != st.ea ||
-			lv.width != st.width || lv.exeRel != clampStoreExe(st.exe, b) {
-			return false
-		}
-		li++
-	}
-	if li != len(r.liveStores) {
-		return false
-	}
-	for i := range r.btbs {
-		if s.btb.SnapEntry(r.btbs[i].idx) != r.btbs[i].snap {
-			return false
-		}
-	}
-	if len(r.rc) > 0 {
-		cur := s.regcache.Snap(s.recArena.rcScratch[:0])
-		s.recArena.rcScratch = cur
-		if len(cur) != len(r.rc) {
-			return false
-		}
-		for i := range cur {
-			// Value is dead state at entry: it is either discarded by
-			// the lookup path or overwritten by the trace-pinned Bind
-			// before any use, so it is excluded from the guard.
-			if cur[i].Used != r.rc[i].Used || cur[i].Reg != r.rc[i].Reg || cur[i].Valid != r.rc[i].Valid {
-				return false
-			}
-		}
-		if !rankEqualRC(r.rc, cur) {
-			return false
-		}
-	}
-	for i := range r.tabSets {
-		g := &r.tabSets[i]
-		pre := r.tabPre[g.off : g.off+g.n]
-		cur := s.table.SnapSet(g.set, s.recArena.tabScratch[:0])
-		s.recArena.tabScratch = cur
-		for w := range cur {
-			if cur[w].Tag != pre[w].Tag || cur[w].E != pre[w].E {
-				return false
-			}
-		}
-		if !rankEqualTab(pre, cur) {
-			return false
-		}
-	}
-	for i := range r.mechSets {
-		g := &r.mechSets[i]
-		pre := r.mechPre[g.off : g.off+g.n]
-		cur := s.assist.SnapSet(int(g.set), s.recArena.mechScratch[:0])
-		s.recArena.mechScratch = cur
-		for w := range cur {
-			if cur[w].Tag != pre[w].Tag || cur[w].V != pre[w].V {
-				return false
-			}
-		}
-		if !rankEqualMech(pre, cur) {
-			return false
-		}
-	}
-	if !matchSets(s.ic.c, r.icSets, r.wayPre, s.recArena) ||
-		!matchSets(s.dc.c, r.dcSets, r.wayPre, s.recArena) {
-		return false
-	}
-	if !matchLiveFills(s.ic, r.icLive, b, s.recArena) ||
-		!matchLiveFills(s.dc, r.dcLive, b, s.recArena) {
-		return false
-	}
-	return true
-}
-
-func matchLiveFills(t *timedCache, want []fillLive, b int64, arena *memoRecorder) bool {
-	cur := collectLiveFills(t, b, arena.fillScratch[:0])
-	arena.fillScratch = cur
-	if len(cur) != len(want) {
-		return false
-	}
-	for i := range cur {
-		if cur[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func matchSets(c *cache.Cache, refs []setRef, wayPre []cache.WaySnap, arena *memoRecorder) bool {
-	for i := range refs {
-		g := &refs[i]
-		pre := wayPre[g.off : g.off+g.n]
-		cur := c.SnapSet(g.set, arena.snapScratch[:0])
-		arena.snapScratch = cur
-		for w := range cur {
-			if cur[w].Valid != pre[w].Valid || cur[w].Tag != pre[w].Tag {
-				return false
-			}
-		}
-		if !rankEqualWays(pre, cur) {
-			return false
-		}
-	}
-	return true
-}
-
-// LRU stamps matter only through order (and ties), never magnitude:
-// every replacement and touch decision compares stamps pairwise.
-func rankEqualWays(pre, cur []cache.WaySnap) bool {
-	for i := range pre {
-		for j := i + 1; j < len(pre); j++ {
-			if (pre[i].LRU < pre[j].LRU) != (cur[i].LRU < cur[j].LRU) ||
-				(pre[i].LRU == pre[j].LRU) != (cur[i].LRU == cur[j].LRU) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func rankEqualTab(pre, cur []addrpred.EntrySnap) bool {
-	for i := range pre {
-		for j := i + 1; j < len(pre); j++ {
-			if (pre[i].LRU < pre[j].LRU) != (cur[i].LRU < cur[j].LRU) ||
-				(pre[i].LRU == pre[j].LRU) != (cur[i].LRU == cur[j].LRU) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func rankEqualMech(pre, cur []mech.EntrySnap) bool {
-	for i := range pre {
-		for j := i + 1; j < len(pre); j++ {
-			if (pre[i].LRU < pre[j].LRU) != (cur[i].LRU < cur[j].LRU) ||
-				(pre[i].LRU == pre[j].LRU) != (cur[i].LRU == cur[j].LRU) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func rankEqualRC(pre, cur []earlycalc.EntrySnap) bool {
-	for i := range pre {
-		for j := i + 1; j < len(pre); j++ {
-			if (pre[i].LRU < pre[j].LRU) != (cur[i].LRU < cur[j].LRU) ||
-				(pre[i].LRU == pre[j].LRU) != (cur[i].LRU == cur[j].LRU) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ---- apply ------------------------------------------------------------
-
-// memoApply replays the recording's effects at the current entry cycle
-// B = nextFetch. Every write mirrors what interpretation would have left,
-// up to dead state (see the package comment in memo.go).
-func (s *Sim) memoApply(r *memoRec) {
-	b := s.nextFetch
-	r.dm.addTo(&s.m)
-	s.ic.c.AddStats(r.dICStats)
-	s.dc.c.AddStats(r.dDCStats)
-	s.btb.AddStats(r.dBTBStats)
-	if s.table != nil {
-		s.table.AddStats(r.dTabStats)
-	}
-	if s.regcache != nil {
-		s.regcache.AddStats(r.dRCStats)
-	}
-	if s.assist != nil {
-		s.assist.AddStats(r.dMechStat)
-	}
-	for _, w := range r.intWrites {
-		s.regReady[w.r] = b + w.rel
-	}
-	for _, w := range r.fpWrites {
-		s.fpReady[w.r] = b + w.rel
-	}
-	L := int(r.n)
-	s.seq += int64(L)
-	s.seqIdx += L % frontEndSlots
-	if s.seqIdx >= frontEndSlots {
-		s.seqIdx -= frontEndSlots
-	}
-	for k, rel := range r.histPost {
-		idx := s.seqIdx - 1 - k
-		for idx < 0 {
-			idx += frontEndSlots
-		}
-		s.issueHist[idx] = b + rel
-	}
-	for _, a := range r.resAdds {
-		*s.tracks[a.tr].at(b + int64(a.rel)) += a.add
-	}
-	for _, sa := range r.storeAdds {
-		s.recordStore(b+sa.exeRel, b+sa.memRel, sa.ea, sa.width)
-	}
-	applyFills(s.ic, r.icFills, b)
-	applyFills(s.dc, r.dcFills, b)
-	applyWayPatches(s.ic.c, r.icPatch, r.icStampDelta)
-	applyWayPatches(s.dc.c, r.dcPatch, r.dcStampDelta)
-	if s.table != nil {
-		cur := s.table.Stamp()
-		for _, p := range r.tabPatch {
-			snap := p.snap
-			snap.LRU += cur
-			s.table.PutEntry(p.set, int(p.way), snap)
-		}
-		s.table.AddStamp(r.tabStampDelta)
-	}
-	if s.assist != nil {
-		cur := s.assist.Stamp()
-		for _, p := range r.mechPatch {
-			snap := p.snap
-			snap.LRU += cur
-			s.assist.PutEntry(int(p.set), int(p.way), snap)
-		}
-		s.assist.AddStamp(r.mechStampDelta)
-	}
-	for _, p := range r.btbPatch {
-		s.btb.PutEntry(p.idx, p.snap)
-	}
-	if s.regcache != nil {
-		cur := s.regcache.Stamp()
-		for _, p := range r.rcPatchs {
-			snap := p.snap
-			snap.LRU += cur
-			s.regcache.PutEntry(int(p.idx), snap)
-		}
-		s.regcache.AddStamp(r.rcStampDelta)
-	}
-	s.groupCycle = b + r.exitGroupRel
-	s.groupCount = int(r.exitGroupCount)
-	s.lastIssue = b + r.exitLastIssueRel
-	s.icLastBlock = r.exitICBlock
-	s.icLastCycle = b + r.exitICCycleRel
-	s.icLastReady = b + r.exitICReadyRel
-	if m := b + r.blockMaxRel; m > s.maxDone {
-		s.maxDone = m
-	}
-	s.nextFetch = b + r.exitFetchRel
-}
-
-func applyFills(t *timedCache, ops []fillOp, b int64) {
-	for _, op := range ops {
-		if op.del {
-			if i := t.findFill(op.block); i >= 0 {
-				t.removeFill(i)
-			}
-		} else {
-			t.addFill(op.block, b+op.doneRel, b)
-		}
-	}
-}
-
-func applyWayPatches(c *cache.Cache, patches []wayPatch, stampDelta int64) {
-	if len(patches) == 0 && stampDelta == 0 {
-		return
-	}
-	cur := c.Stamp()
-	for _, p := range patches {
-		snap := p.snap
-		snap.LRU += cur
-		c.PutWay(p.set, int(p.way), snap)
-	}
-	c.AddStamp(stampDelta)
 }

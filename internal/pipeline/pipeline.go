@@ -60,18 +60,6 @@ func (r *resTrack) at(cycle int64) *uint8 {
 	return &r.count[i]
 }
 
-// peek returns the logical use count at cycle without normalizing the
-// slot: a stale stamp reads as zero. The block-timing memoizer snapshots
-// and compares resource windows this way, so guarding never perturbs the
-// track state the generic path would see.
-func (r *resTrack) peek(cycle int64) uint8 {
-	i := cycle & (resWindow - 1)
-	if r.stamp[i] != cycle {
-		return 0
-	}
-	return r.count[i]
-}
-
 // avail reports whether capacity remains at cycle.
 func (r *resTrack) avail(cycle int64) bool { return *r.at(cycle) < r.cap }
 
@@ -88,12 +76,17 @@ func (r *resTrack) tryUse(cycle int64) bool {
 // fillEnt is one outstanding (or stale) cache fill. The set of live fills
 // is tiny — bounded by the handful of misses whose latency window overlaps
 // the current cycle — so a linear slice beats a map on every operation and
-// exposes a monotone high-water mark (maxFillDone) that lets the memoizer
-// prove "no fill in flight" with one comparison.
+// exposes a monotone high-water mark (maxFillDone) that proves "no fill in
+// flight" with one comparison.
 type fillEnt struct {
 	block int64
 	done  int64
 }
+
+// fillSweep is the fill-list length past which addFill sweeps stale
+// entries. The list is allocated at fillSweep+1 entries up front, so a
+// warm Sim's replay never grows it.
+const fillSweep = 64
 
 // timedCache adds miss timing to the tag-store cache model: outstanding
 // fills are tracked so that a second access to an in-flight block waits
@@ -111,21 +104,17 @@ type timedCache struct {
 	// chunk by refreshFastPaths when the cache is direct-mapped and
 	// unobserved.
 	fast bool
-	// rec, when non-nil, is the active block recorder: it pre-snapshots
-	// each touched set and logs fill insertions/removals (see memo.go).
-	rec *memoRecorder
-	ci  uint8 // recorder cache index: 0 = icache, 1 = dcache
 	// onMiss, when non-nil, observes each fresh miss: the cycle it began,
 	// the cycle its fill completes, and whether it was speculative.
 	onMiss func(addr, cycle, done int64, spec bool)
 }
 
-func newTimedCache(c *cache.Cache, ci uint8) *timedCache {
+func newTimedCache(c *cache.Cache) *timedCache {
 	shift := uint(0)
 	for b := c.Config().BlockBytes; b > 1; b >>= 1 {
 		shift++
 	}
-	return &timedCache{c: c, blockShift: shift, ci: ci}
+	return &timedCache{c: c, blockShift: shift, fills: make([]fillEnt, 0, fillSweep+1)}
 }
 
 // findFill returns the index of block's fill entry, or -1. Blocks are
@@ -158,7 +147,7 @@ func (t *timedCache) addFill(block, done, cycle int64) {
 		return
 	}
 	t.fills = append(t.fills, fillEnt{block: block, done: done})
-	if len(t.fills) > 64 {
+	if len(t.fills) > fillSweep {
 		for i := 0; i < len(t.fills); {
 			if t.fills[i].done <= cycle {
 				t.removeFill(i)
@@ -173,9 +162,6 @@ func (t *timedCache) addFill(block, done, cycle int64) {
 // which data is available, plus whether it was a true (same-cycle) hit.
 func (t *timedCache) access(addr, cycle int64, spec, allocate bool) (ready int64, hit bool) {
 	block := addr >> t.blockShift
-	if t.rec != nil {
-		t.rec.touchCacheSet(t.ci, t.c, addr)
-	}
 	var tagHit bool
 	if t.fast {
 		tagHit = t.c.AccessDM(addr, spec, allocate)
@@ -192,9 +178,7 @@ func (t *timedCache) access(addr, cycle int64, spec, allocate bool) (ready int64
 	// The fill list is empty for the overwhelming majority of accesses;
 	// skipping the scan then keeps the hit path allocation-free. When the
 	// newest fill has already completed, every entry is stale — drop them
-	// all in O(1). (Stale entries are behaviorally absent, so no removal
-	// needs to be logged for the recorder: replay reaching the same cycles
-	// treats them identically whether present or purged.)
+	// all in O(1).
 	if len(t.fills) > 0 && t.maxFillDone <= cycle {
 		t.fills = t.fills[:0]
 	}
@@ -205,9 +189,6 @@ func (t *timedCache) access(addr, cycle int64, spec, allocate bool) (ready int64
 				return done, false
 			}
 			t.removeFill(i)
-			if t.rec != nil {
-				t.rec.noteFill(t.ci, fillOp{del: true, block: block})
-			}
 		}
 	}
 	if tagHit {
@@ -219,9 +200,6 @@ func (t *timedCache) access(addr, cycle int64, spec, allocate bool) (ready int64
 	}
 	if allocate || spec {
 		t.addFill(block, done, cycle)
-		if t.rec != nil {
-			t.rec.noteFill(t.ci, fillOp{block: block, doneRel: done - t.rec.base})
-		}
 	}
 	return done, false
 }
@@ -288,14 +266,7 @@ type Sim struct {
 	obsCycle int64         // approximate cycle for component-observer events
 	attrib   []LoadPCStats // per-PC load attribution, set by EnablePerPC
 
-	// Replay fast path (see memo.go and kernel.go).
-	tracks   [numTracks]*resTrack // issue/alu/fp/br/port resource tracks by index
-	memo     *blockMemo           // block-timing memo store (lazily built)
-	rec      *memoRecorder        // non-nil while recording a block
-	recArena *memoRecorder        // reusable recorder backing storage
-	noMemo   bool                 // escape hatch: disable memoization
-	noSpec   bool                 // escape hatch: disable kernel specialization
-	memoOK   bool                 // refreshed per chunk by refreshFastPaths
+	noSpec bool // escape hatch: disable kernel specialization (see kernel.go)
 }
 
 // New creates a simulation with the given configuration over prog. flavors
@@ -346,8 +317,8 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 		cfg:         cfg,
 		prog:        prog,
 		meta:        buildMeta(prog, &cfg, flavors),
-		ic:          newTimedCache(ic, 0),
-		dc:          newTimedCache(dc, 1),
+		ic:          newTimedCache(ic),
+		dc:          newTimedCache(dc),
 		btb:         btb,
 		assist:      assist,
 		icLastBlock: -1,
@@ -358,7 +329,6 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 	s.fpRes.cap = uint8(cfg.FPALUs)
 	s.brRes.cap = uint8(cfg.BranchUnits)
 	s.portRes.cap = uint8(cfg.MemPorts)
-	s.tracks = [numTracks]*resTrack{&s.issueRes, &s.aluRes, &s.fpRes, &s.brRes, &s.portRes}
 	if cfg.Predictor != nil {
 		if s.table, err = addrpred.NewTable(*cfg.Predictor); err != nil {
 			return nil, err
@@ -391,10 +361,6 @@ func (s *Sim) Metrics() *Metrics {
 	s.m.ICacheStats = s.ic.c.Stats()
 	s.m.DCacheStats = s.dc.c.Stats()
 	s.m.BTBStats = s.btb.Stats()
-	if s.memo != nil {
-		s.m.Memo = s.memo.stats
-	}
-	s.m.Memo.Kernel = s.KernelID()
 	s.m.PerPC = s.perPC()
 	return &s.m
 }
@@ -586,12 +552,6 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 				Cause: StallFU, Cycles: fuStall})
 		}
 	}
-	if s.rec != nil {
-		s.rec.resTouch(s, trIssue, e)
-		if fu != nil {
-			s.rec.resTouch(s, int(md.fu), e)
-		}
-	}
 	s.issueRes.tryUse(e)
 	if fu != nil {
 		fu.tryUse(e)
@@ -638,14 +598,8 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 			effLat = ready - e
 		default:
 			m := e + 1
-			if s.rec != nil {
-				s.rec.resPre(s, trPort)
-			}
 			for !s.portRes.tryUse(m) {
 				m++
-			}
-			if s.rec != nil {
-				s.rec.resNote(trPort, m)
 			}
 			s.obsCycle = m
 			dataEnd, _ := s.dc.access(te.EA, m, false, true)
@@ -666,23 +620,14 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 		s.obsCycle = e + 1
 		s.updatePredictor(te, spec.path == pathPredict)
 		if s.assist != nil {
-			if s.rec != nil {
-				s.rec.touchMechSet(s.assist, int64(te.PC))
-			}
 			s.assist.Train(int64(te.PC), te.EA)
 		}
 
 	case md.isStore():
 		s.m.Stores++
 		m := e + 1
-		if s.rec != nil {
-			s.rec.resPre(s, trPort)
-		}
 		for !s.portRes.tryUse(m) {
 			m++
-		}
-		if s.rec != nil {
-			s.rec.resNote(trPort, m)
 		}
 		s.obsCycle = m
 		s.dc.access(te.EA, m, false, false) // write-through, no allocate
@@ -950,9 +895,6 @@ func (s *Sim) updatePredictor(te *emu.TraceEntry, predictPath bool) {
 	if s.table == nil {
 		return
 	}
-	if s.rec != nil {
-		s.rec.touchTableSet(s.table, te.PC)
-	}
 	if predictPath {
 		s.table.Update(te.PC, te.EA)
 	} else if s.cfg.Select == SelHWDual {
@@ -968,9 +910,6 @@ func (s *Sim) updatePredictor(te *emu.TraceEntry, predictPath bool) {
 // CA==PA and yields an effective load latency of 1 cycle.
 func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specResult {
 	r := specResult{lat: -1, path: pathPredict, eligible: true}
-	if s.rec != nil {
-		s.rec.touchTableSet(s.table, te.PC)
-	}
 	predAddr, ok := s.table.Probe(te.PC)
 	if !ok {
 		r.fail |= FailNoPrediction
@@ -982,9 +921,6 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specRes
 	specCycle := d2
 	if e-1 > specCycle {
 		specCycle = e - 1
-	}
-	if s.rec != nil {
-		s.rec.resTouch(s, trPort, specCycle)
 	}
 	if !s.portRes.tryUse(specCycle) {
 		r.fail |= FailNoPort
@@ -1027,9 +963,6 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specRes
 // StepInst), mirroring the hardware-only predictor's always-update policy.
 func (s *Sim) specAssist(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specResult {
 	r := specResult{lat: -1, path: pathAssist, eligible: true}
-	if s.rec != nil {
-		s.rec.touchMechSet(s.assist, int64(te.PC))
-	}
 	predAddr, ok := s.assist.Lookup(int64(te.PC))
 	if !ok {
 		r.fail |= FailNoPrediction
@@ -1038,9 +971,6 @@ func (s *Sim) specAssist(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specResu
 	specCycle := d2
 	if e-1 > specCycle {
 		specCycle = e - 1
-	}
-	if s.rec != nil {
-		s.rec.resTouch(s, trPort, specCycle)
 	}
 	if !s.portRes.tryUse(specCycle) {
 		r.fail |= FailNoPort
@@ -1111,9 +1041,6 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, d2, e int64, bindD
 		specCycle = e - 1
 	}
 	if in.Mode == isa.AMRegOffset {
-		if s.rec != nil {
-			s.rec.touchRegCache(s.regcache)
-		}
 		_, hit = s.regcache.Lookup(in.Base)
 		ready := s.regReady[in.Base]
 		// (Re)bind after the lookup: ld_e binds its base register;
@@ -1138,9 +1065,6 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, d2, e int64, bindD
 			r.fail |= FailRegInterlock
 			return r
 		}
-	}
-	if s.rec != nil {
-		s.rec.resTouch(s, trPort, specCycle)
 	}
 	if !s.portRes.tryUse(specCycle) {
 		r.fail |= FailNoPort
@@ -1173,9 +1097,6 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, d2, e int64, bindD
 
 // resolveBranch trains the BTB and computes the fetch redirect.
 func (s *Sim) resolveBranch(in *isa.Inst, te *emu.TraceEntry, f, d1, e int64) {
-	if s.rec != nil {
-		s.rec.touchBTB(s.btb, te.PC)
-	}
 	switch in.Op {
 	case isa.OpBr:
 		s.m.Branches++

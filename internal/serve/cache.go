@@ -18,8 +18,8 @@ const resultKeySchema = "elag-serve-result/v1"
 // ResultKey derives the content-address of a job's result from everything
 // the result bytes depend on. The derivation leans on the repo's
 // determinism guarantees (DESIGN.md §10/§11/§15): grid and simulate
-// output is byte-identical at every parallelism, batching, memoization,
-// and kernel-specialization setting, so none of those appear in the key.
+// output is byte-identical at every parallelism, batching and
+// kernel-specialization setting, so none of those appear in the key.
 // DeadlineMS is excluded because it changes whether a result exists, not
 // what its bytes are. Fuel and chunk size are included: fuel truncates
 // the trace and chunk size is part of the declared result identity.

@@ -122,7 +122,6 @@ func executeSimulate(j *Job, work *harness.Counters) (any, error) {
 		return nil, err
 	}
 	for _, m := range metrics {
-		work.CountMemo(m.Memo)
 		if m.MechStats != nil {
 			work.CountMech(m.MechKind, *m.MechStats)
 		}

@@ -189,18 +189,6 @@ func (s *Server) registerServerMetrics() {
 	reg.CounterFunc("elag_insts_total",
 		"Streamed trace entries replayed across all jobs (rate = replay throughput).",
 		func() float64 { return float64(s.work.Insts.Load()) })
-	reg.CounterFunc("elag_replay_memo_hits_total",
-		"Block-timing memo lookups replayed from a recording.",
-		func() float64 { return float64(s.work.MemoHits.Load()) })
-	reg.CounterFunc("elag_replay_memo_misses_total",
-		"Block-timing memo lookups that fell through to the interpreter.",
-		func() float64 { return float64(s.work.MemoMisses.Load()) })
-	reg.CounterFunc("elag_replay_memo_block_entries_total",
-		"Block-head entries where the memoizer attempted a lookup (hits + misses).",
-		func() float64 { return float64(s.work.MemoBlockEntries.Load()) })
-	reg.GaugeFunc("elag_replay_kernel_level",
-		"Highest specialized replay-kernel variant observed: 0 generic, 1 specialized dispatch, 2 fused DM cache leaves.",
-		func() float64 { return float64(s.work.KernelLevel.Load()) })
 	// One series per registered mechanism kind, pre-declared at startup so
 	// the exposition is stable from the first scrape. The values read one
 	// kind's aggregate mech.Stats at scrape time; the Stats algebra
