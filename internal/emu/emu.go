@@ -537,26 +537,37 @@ const DefaultChunkSize = 4096
 // peak trace memory is O(chunkSize) regardless of fuel — the path for
 // 100M+ instruction runs that could never hold a full columnar trace.
 //
-// Chunks are recycled through a two-deep ring: the chunk passed to yield
-// is valid only until yield returns (a consumer that needs the data longer
-// must copy it). Chunk boundaries carry no meaning — concatenating the
-// yielded chunks reproduces, bit for bit, the trace RunTrace would have
-// built, with Seq0 marking each chunk's position. Unlike RunTrace, no dry
-// counting pass is needed: chunk capacity is fixed up front, so the
-// program is emulated exactly once.
+// Emulation and consumption overlap: the emulator runs on a goroutine of
+// its own, filling the next chunk while yield consumes the current one,
+// and never gets more than that one chunk ahead — there are exactly two
+// chunk buffers, so peak trace memory stays two chunks. yield itself
+// always runs on the caller's goroutine, one chunk at a time, in order.
+// The chunk passed to yield is valid only until yield returns (a consumer
+// that needs the data longer must copy it). Chunk boundaries carry no
+// meaning — concatenating the yielded chunks reproduces, bit for bit, the
+// trace RunTrace would have built, with Seq0 marking each chunk's
+// position. Unlike RunTrace, no dry counting pass is needed: chunk
+// capacity is fixed up front, so the program is emulated exactly once.
 //
 // On an architectural fault (including fuel exhaustion) the partial chunk
 // is flushed to yield first, then the fault is returned: consumers observe
 // the complete prefix trace, whose timing is still valid. An error
-// returned by yield aborts the run and is returned verbatim.
+// returned by yield aborts the run and is returned verbatim. The Result
+// returned with any error is the run's state as of the end of the chunk
+// being delivered, never the emulator's run-ahead state. Every return —
+// a panic in yield included — waits for the emulator goroutine to exit
+// first, and a panic in the emulator is re-raised on the caller's
+// goroutine with its original value.
 func StreamTrace(prog *isa.Program, fuel int64, chunkSize int, yield func(*Trace) error) (Result, error) {
 	return StreamTraceContext(context.Background(), prog, fuel, chunkSize, yield)
 }
 
 // StreamTraceContext is StreamTrace with cooperative cancellation: ctx is
-// checked between chunks (never mid-chunk), so a run aborts within one
-// chunk's worth of emulation of ctx being cancelled or its deadline
-// passing, returning the ctx error. An uncancelled run produces results
+// checked before every chunk is delivered (never mid-chunk), so a chunk
+// produced after cancellation never reaches yield, and a run aborts
+// within two chunks' worth of emulation (the chunk in flight and the one
+// running ahead) of ctx being cancelled or its deadline passing,
+// returning the ctx error. An uncancelled run produces results
 // byte-identical to StreamTrace — the check is outside the emulation loop
 // and never perturbs the trace.
 func StreamTraceContext(ctx context.Context, prog *isa.Program, fuel int64, chunkSize int, yield func(*Trace) error) (Result, error) {
@@ -569,57 +580,118 @@ func StreamTraceContext(ctx context.Context, prog *isa.Program, fuel int64, chun
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	ring := [2]*Trace{NewTrace(chunkSize), NewTrace(chunkSize)}
-	cur := 0
-	t := ring[0]
-	c := New(prog)
-	var te TraceEntry
-	flush := func() error {
+	// free holds the chunk buffers the emulator may fill: both, initially.
+	// Its capacity is the number of buffers, so returning one never blocks.
+	free := make(chan *Trace, 2)
+	free <- NewTrace(chunkSize)
+	free <- NewTrace(chunkSize)
+	full := make(chan streamChunk)
+	stop := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		produceChunks(prog, fuel, chunkSize, free, full, stop)
+	}()
+	defer func() {
+		close(stop)
+		<-exited
+	}()
+	for {
+		ch := <-full
+		if ch.panicVal != nil {
+			panic(ch.panicVal)
+		}
 		// The chunk boundary is the cancellation point: a cancelled run
-		// stops before its next chunk is delivered, so consumers never see
-		// a chunk produced after cancellation. It is also where chaos
+		// stops before its next chunk is delivered. It is also where chaos
 		// testing injects a degraded host (slow-chunk), which must honor
 		// the same deadline a real slowdown would.
 		if err := ctx.Err(); err != nil {
-			return err
+			return ch.res, err
 		}
 		if err := chaosinject.SlowChunk(ctx); err != nil {
-			return err
+			return ch.res, err
 		}
-		if t.Len() == 0 {
-			return nil
+		if ch.t.Len() > 0 {
+			if err := yield(ch.t); err != nil {
+				return ch.res, err
+			}
 		}
-		seq := t.Seq0 + int64(t.Len())
-		if err := yield(t); err != nil {
-			return err
+		if ch.final {
+			return ch.res, ch.err
 		}
-		cur ^= 1
-		t = ring[cur]
+		free <- ch.t
+	}
+}
+
+// streamChunk is one hand-off from StreamTraceContext's emulator goroutine
+// to the caller: a filled chunk with the run's Result as of its last
+// entry. The final chunk (possibly empty) carries the run's outcome — nil
+// on halt, the fault otherwise. A panic in the emulator arrives as a
+// chunk with only panicVal set (never nil: panic(nil) recovers as a
+// *runtime.PanicNilError).
+type streamChunk struct {
+	t        *Trace
+	res      Result
+	err      error
+	final    bool
+	panicVal any
+}
+
+// produceChunks is StreamTraceContext's emulator: it runs prog, filling
+// buffers taken from free and handing each to full, until the run ends
+// or stop is closed. It never blocks on a channel without also watching
+// stop, so closing stop always lets it return.
+func produceChunks(prog *isa.Program, fuel int64, chunkSize int, free <-chan *Trace, full chan<- streamChunk, stop <-chan struct{}) {
+	defer func() {
+		if v := recover(); v != nil {
+			select {
+			case full <- streamChunk{panicVal: v}:
+			case <-stop:
+			}
+		}
+	}()
+	c := New(prog)
+	var te TraceEntry
+	var seq int64
+	for {
+		var t *Trace
+		select {
+		case t = <-free:
+		case <-stop:
+			return
+		}
 		t.reset(seq)
-		return nil
+		var err error
+		final := false
+		for {
+			if c.Halted() {
+				final = true
+				break
+			}
+			if c.res.DynamicInsts >= fuel {
+				err = &isa.Fault{Kind: isa.FaultFuel, PC: c.PC, SeqNum: c.res.DynamicInsts}
+				final = true
+				break
+			}
+			if err = c.Step(&te); err != nil {
+				final = true
+				break
+			}
+			t.push(&te)
+			if t.Len() == chunkSize {
+				break
+			}
+		}
+		seq = t.Seq0 + int64(t.Len())
+		select {
+		case full <- streamChunk{t: t, res: c.res, err: err, final: final}:
+		case <-stop:
+			return
+		}
+		if final {
+			return
+		}
 	}
-	for !c.Halted() {
-		if c.res.DynamicInsts >= fuel {
-			fault := &isa.Fault{Kind: isa.FaultFuel, PC: c.PC, SeqNum: c.res.DynamicInsts}
-			if err := flush(); err != nil {
-				return c.res, err
-			}
-			return c.res, fault
-		}
-		if err := c.Step(&te); err != nil {
-			if ferr := flush(); ferr != nil {
-				return c.res, ferr
-			}
-			return c.res, err
-		}
-		t.push(&te)
-		if t.Len() == chunkSize {
-			if err := flush(); err != nil {
-				return c.res, err
-			}
-		}
-	}
-	return c.res, flush()
 }
 
 func runTrace(prog *isa.Program, fuel int64, t *Trace) (Result, error) {

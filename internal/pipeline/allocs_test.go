@@ -2,7 +2,11 @@ package pipeline_test
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 
 	elag "elag"
 	"elag/internal/emu"
@@ -73,4 +77,67 @@ func TestRunChunkAllocsNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSimFootprint: a Sim's fixed footprint stays small. Only the cache
+// ports need a per-cycle reservation window; the issue-side resources are
+// tracked in their newest cycle alone.
+func TestSimFootprint(t *testing.T) {
+	n := unsafe.Sizeof(pipeline.Sim{})
+	if n >= 64<<10 {
+		t.Fatalf("Sim is %d bytes, want < 64 KB", n)
+	}
+	t.Logf("Sim is %d bytes", n)
+}
+
+// TestMetricsSnapshot: the *Metrics a Sim returns is a snapshot. Replaying
+// more chunks does not change it, and holding it does not keep the Sim —
+// its caches, tables and reservation windows — alive.
+func TestMetricsSnapshot(t *testing.T) {
+	w := workload.Get("023.eqntott")
+	p, err := elag.Build(w.Source, elag.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, trace, err := emu.RunTrace(p.Machine, 20_000, true)
+	if err != nil && !errors.Is(err, emu.ErrFuel) {
+		t.Fatal(err)
+	}
+	half := trace.Len() / 2
+	collected := make(chan struct{})
+	m := func() *pipeline.Metrics {
+		sim, err := pipeline.New(pipeline.PaperCompilerDirected(), p.Machine, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.EnablePerPC()
+		runtime.SetFinalizer(sim, func(*pipeline.Sim) { close(collected) })
+		if err := sim.RunChunk(trace.Slice(0, half)); err != nil {
+			t.Fatal(err)
+		}
+		m := sim.Metrics()
+		before := *m
+		before.PerPC = append([]pipeline.LoadPCStats(nil), m.PerPC...)
+		if err := sim.RunChunk(trace.Slice(half, trace.Len())); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*m, before) {
+			t.Fatalf("a later RunChunk changed a returned *Metrics: %d insts, was %d",
+				m.Insts, before.Insts)
+		}
+		if now := sim.Metrics(); now.Insts != int64(trace.Len()) {
+			t.Fatalf("Metrics after the second chunk: %d insts, want %d", now.Insts, trace.Len())
+		}
+		return m
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(m)
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Fatal("Sim still reachable while only its *Metrics is held")
 }

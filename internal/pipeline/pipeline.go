@@ -44,7 +44,10 @@ const frontEndSlots = 18
 // far below 4096.
 const resWindow = 4096
 
-// resTrack counts per-cycle uses of a resource with a fixed capacity.
+// resTrack counts per-cycle uses of a resource with a fixed capacity, for
+// a resource reserved out of cycle order: the data-cache ports, which a
+// speculative access reserves in ID2 (e-1), possibly before the MEM-stage
+// ports (e+1 and later) that older loads and stores already hold.
 type resTrack struct {
 	stamp [resWindow]int64
 	count [resWindow]uint8
@@ -60,9 +63,6 @@ func (r *resTrack) at(cycle int64) *uint8 {
 	return &r.count[i]
 }
 
-// avail reports whether capacity remains at cycle.
-func (r *resTrack) avail(cycle int64) bool { return *r.at(cycle) < r.cap }
-
 // tryUse consumes one unit at cycle if available.
 func (r *resTrack) tryUse(cycle int64) bool {
 	c := r.at(cycle)
@@ -71,6 +71,28 @@ func (r *resTrack) tryUse(cycle int64) bool {
 	}
 	*c++
 	return true
+}
+
+// issueTrack counts uses of an issue-side resource (issue slots, ALUs, FP
+// units, branch units) in the newest cycle that used it. Issue is in
+// order — every query is at or after the last issue cycle — so no older
+// cycle is ever asked about again, and one (cycle, count) pair is exact.
+type issueTrack struct {
+	cycle int64
+	count uint8
+	cap   uint8
+}
+
+// avail reports whether capacity remains at cycle (never before the last
+// use).
+func (r *issueTrack) avail(cycle int64) bool { return cycle != r.cycle || r.count < r.cap }
+
+// use consumes one unit at cycle; avail(cycle) must hold.
+func (r *issueTrack) use(cycle int64) {
+	if cycle != r.cycle {
+		r.cycle, r.count = cycle, 0
+	}
+	r.count++
 }
 
 // fillEnt is one outstanding (or stale) cache fill. The set of live fills
@@ -230,10 +252,10 @@ type Sim struct {
 	regReady [isa.NumIntRegs]int64
 	fpReady  [isa.NumFPRegs]int64
 
-	issueRes resTrack
-	aluRes   resTrack
-	fpRes    resTrack
-	brRes    resTrack
+	issueRes issueTrack
+	aluRes   issueTrack
+	fpRes    issueTrack
+	brRes    issueTrack
 	portRes  resTrack
 
 	nextFetch  int64
@@ -344,25 +366,28 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 	return s, nil
 }
 
-// Metrics returns the metrics accumulated so far; call after Run.
+// Metrics returns a snapshot of the metrics accumulated so far; call
+// after Run. The snapshot shares no memory with the Sim: later chunks do
+// not change it, and holding it does not keep the Sim alive.
 func (s *Sim) Metrics() *Metrics {
-	s.m.Cycles = s.maxDone
+	m := s.m
+	m.Cycles = s.maxDone
 	if s.table != nil {
-		s.m.TableStats = s.table.Stats()
+		m.TableStats = s.table.Stats()
 	}
 	if s.regcache != nil {
-		s.m.RegCacheStat = s.regcache.Stats()
+		m.RegCacheStat = s.regcache.Stats()
 	}
 	if s.assist != nil {
-		s.m.MechKind = s.assist.Kind()
+		m.MechKind = s.assist.Kind()
 		st := s.assist.Stats()
-		s.m.MechStats = &st
+		m.MechStats = &st
 	}
-	s.m.ICacheStats = s.ic.c.Stats()
-	s.m.DCacheStats = s.dc.c.Stats()
-	s.m.BTBStats = s.btb.Stats()
-	s.m.PerPC = s.perPC()
-	return &s.m
+	m.ICacheStats = s.ic.c.Stats()
+	m.DCacheStats = s.dc.c.Stats()
+	m.BTBStats = s.btb.Stats()
+	m.PerPC = s.perPC()
+	return &m
 }
 
 // Run replays the whole trace and returns the final metrics.
@@ -515,7 +540,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	// ---- issue (enter EXE) ----
 	eFlow := e
 	var widthStall, fuStall int64
-	var fu *resTrack
+	var fu *issueTrack
 	switch md.fu {
 	case fuALU:
 		fu = &s.aluRes
@@ -552,9 +577,9 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 				Cause: StallFU, Cycles: fuStall})
 		}
 	}
-	s.issueRes.tryUse(e)
+	s.issueRes.use(e)
 	if fu != nil {
-		fu.tryUse(e)
+		fu.use(e)
 	}
 	s.lastIssue = e
 	s.issueHist[s.seqIdx] = e
