@@ -30,8 +30,9 @@
 //	-replaybench f  run the trace-replay microbenchmarks and write the
 //	              elag-replaybench/v4 JSON document ("-" for stdout)
 //	-compilebench f  compile every workload through the default pipeline and
-//	              write the elag-compilebench/v1 JSON document (per-workload
-//	              wall time + per-pass breakdown; "-" for stdout)
+//	              write the elag-compilebench/v2 JSON document (per-workload
+//	              wall time, per-pass breakdown and verifier time; "-"
+//	              for stdout)
 //	-reps N       repetitions per workload for -compilebench, reporting the
 //	              fastest (default 5)
 //	-servebench f run each service-path job cold (empty result cache) and
@@ -44,7 +45,7 @@
 //	elag-bench -diff old.json new.json
 //
 // compares two bench documents of the same schema (elag-replaybench/v4,
-// elag-compilebench/v1, or elag-servebench/v1) entry by entry and exits
+// elag-compilebench/v2, or elag-servebench/v1) entry by entry and exits
 // nonzero when any metric regressed by more than -diff-threshold (default
 // 0.15 = 15%). Throughput metrics are polarity-aware: minst_per_sec going
 // DOWN is the regression. CI runs this against the checked-in

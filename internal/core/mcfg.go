@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 
 	"elag/internal/isa"
 )
@@ -31,16 +32,27 @@ type mfunc struct {
 // every call target begin a function; each function extends to the next
 // function start.
 func splitFunctions(p *isa.Program) []*mfunc {
-	starts := map[int]string{p.Entry: "entry"}
+	starts := map[int]string{p.Entry: ""}
 	for _, in := range p.Insts {
 		if in.Op == isa.OpCall {
 			starts[in.Target] = ""
 		}
 	}
+	// Several symbols can share a start pc (a function label and its first
+	// block's "$B" label): prefer a name without '$', then the lexically
+	// smallest, so the choice does not depend on map order.
 	for name, pc := range p.Symbols {
-		if _, ok := starts[pc]; ok && starts[pc] == "" || pc == p.Entry {
+		cur, ok := starts[pc]
+		if !ok {
+			continue
+		}
+		curBlock, block := strings.Contains(cur, "$"), strings.Contains(name, "$")
+		if cur == "" || curBlock && !block || curBlock == block && name < cur {
 			starts[pc] = name
 		}
+	}
+	if starts[p.Entry] == "" {
+		starts[p.Entry] = "entry"
 	}
 	pcs := make([]int, 0, len(starts))
 	for pc := range starts {

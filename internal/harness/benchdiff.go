@@ -10,7 +10,7 @@ import (
 )
 
 // Perf-regression gate: BenchDiff compares two bench documents — two
-// elag-replaybench/v4, elag-compilebench/v1, or elag-servebench/v1
+// elag-replaybench/v4, elag-compilebench/v2, or elag-servebench/v1
 // files — entry by entry, and reports every metric whose regression
 // exceeds a threshold. CI runs it against the checked-in baselines
 // (BENCH_replay.json, BENCH_compile.json, BENCH_serve.json) so a
@@ -134,7 +134,7 @@ func BenchDiffFiles(oldPath, newPath string, threshold float64) (*DiffReport, er
 }
 
 // BenchDiff compares baseline oldRaw against candidate newRaw. Both must
-// carry the same schema (elag-replaybench/v4 or elag-compilebench/v1);
+// carry the same schema (elag-replaybench/v4 or elag-compilebench/v2);
 // replay documents must additionally agree on fuel. threshold <= 0 takes
 // the 0.15 default.
 func BenchDiff(oldRaw, newRaw []byte, oldPath, newPath string, threshold float64) (*DiffReport, error) {

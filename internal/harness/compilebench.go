@@ -14,7 +14,7 @@ import (
 // CompileBenchSchema versions the elag-bench -compilebench JSON document
 // (BENCH_compile.json in the repository root); bump on any field-shape
 // change.
-const CompileBenchSchema = "elag-compilebench/v1"
+const CompileBenchSchema = "elag-compilebench/v2"
 
 // CompileBenchResult is one workload's compile-time record: end-to-end
 // wall time through the default (O2) pipeline plus the pass manager's
@@ -27,6 +27,10 @@ type CompileBenchResult struct {
 	// PassWallNS is the wall time spent inside scheduled passes (the
 	// pipeline portion of WallNS), from the same run.
 	PassWallNS int64 `json:"pass_wall_ns"`
+	// VerifyWallNS is the wall time spent verifying the IR after the
+	// front end and after every pass and fixpoint member, from the same
+	// run; it lies outside PassWallNS.
+	VerifyWallNS int64 `json:"verify_wall_ns"`
 	// Insts is the machine instruction count of the compiled program.
 	Insts int `json:"insts"`
 	// Passes is the per-pass breakdown in first-run order (see
@@ -72,11 +76,12 @@ func (r *Runner) CompileBench(ctx context.Context, reps int) (*CompileBenchDoc, 
 			}
 			if rep == 0 || wall < best.WallNS {
 				best = CompileBenchResult{
-					Workload:   w.Name,
-					WallNS:     wall,
-					PassWallNS: stats.TotalWallNS,
-					Insts:      len(p.Machine.Insts),
-					Passes:     stats.Passes(),
+					Workload:     w.Name,
+					WallNS:       wall,
+					PassWallNS:   stats.TotalWallNS,
+					VerifyWallNS: stats.VerifyWallNS,
+					Insts:        len(p.Machine.Insts),
+					Passes:       stats.Passes(),
 				}
 				doc.Pipeline = p.Pipeline
 			}

@@ -1,65 +1,89 @@
 package ir
 
+import "slices"
+
 // This file implements the CFG analyses used by the optimizer and the load
 // classifier: dominators (iterative Cooper-Harvey-Kennedy), natural loop
 // detection from back edges, and virtual-register liveness.
 
-// Dominators maps each block to its immediate dominator. The entry block's
-// immediate dominator is itself.
+// Dominators records each block's immediate dominator. The entry block's
+// immediate dominator is itself. Blocks are addressed by the positions
+// ComputeCFG numbered them with; a block not in the function when the tree
+// was computed has no dominator and dominates only itself.
 type Dominators struct {
-	idom map[*Block]*Block
+	blocks []*Block // f.Blocks as numbered when the tree was computed
+	idom   []int32  // by position; -1 for blocks unreachable from the entry
+}
+
+// pos returns b's position in the numbered block list, or -1.
+func (d *Dominators) pos(b *Block) int {
+	if b != nil && b.seqNum < len(d.blocks) && d.blocks[b.seqNum] == b {
+		return b.seqNum
+	}
+	return -1
 }
 
 // Idom returns b's immediate dominator (the entry maps to itself).
-func (d *Dominators) Idom(b *Block) *Block { return d.idom[b] }
+func (d *Dominators) Idom(b *Block) *Block {
+	if i := d.pos(b); i >= 0 && d.idom[i] >= 0 {
+		return d.blocks[d.idom[i]]
+	}
+	return nil
+}
 
 // Dominates reports whether a dominates b (reflexively).
 func (d *Dominators) Dominates(a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		i := d.idom[b]
-		if i == nil || i == b {
+	if a == b {
+		return true
+	}
+	ai, i := d.pos(a), d.pos(b)
+	for i >= 0 {
+		up := int(d.idom[i])
+		if up < 0 || up == i {
 			return false
 		}
-		b = i
+		if up == ai {
+			return true
+		}
+		i = up
 	}
+	return false
 }
 
 // ComputeDominators computes the dominator tree of f. ComputeCFG must have
-// been called first.
+// been called first: the analysis walks Succs and Preds and indexes blocks
+// by the positions it assigned.
 func ComputeDominators(f *Func) *Dominators {
-	if len(f.Blocks) == 0 {
-		return &Dominators{idom: map[*Block]*Block{}}
+	n := len(f.Blocks)
+	d := &Dominators{blocks: append([]*Block(nil), f.Blocks...), idom: make([]int32, n)}
+	if n == 0 {
+		return d
 	}
-	// Reverse postorder.
-	var rpo []*Block
-	seen := make(map[*Block]bool)
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		if seen[b] {
-			return
+	for i := range d.idom {
+		d.idom[i] = -1
+	}
+	// Reverse postorder; order[i] is position i's index in it.
+	rpo := make([]int32, 0, n)
+	order := make([]int32, n)
+	var dfs func(i int)
+	dfs = func(i int) {
+		order[i] = 1 // visited
+		for _, s := range d.blocks[i].Succs {
+			if j := d.pos(s); j >= 0 && order[j] == 0 {
+				dfs(j)
+			}
 		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		rpo = append(rpo, b)
+		rpo = append(rpo, int32(i))
 	}
-	entry := f.Blocks[0]
-	dfs(entry)
-	for i, j := 0, len(rpo)-1; i < j; i, j = i+1, j-1 {
-		rpo[i], rpo[j] = rpo[j], rpo[i]
-	}
-	order := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		order[b] = i
+	dfs(0)
+	slices.Reverse(rpo)
+	for k, i := range rpo {
+		order[i] = int32(k)
 	}
 
-	idom := make(map[*Block]*Block, len(rpo))
-	idom[entry] = entry
-	intersect := func(a, b *Block) *Block {
+	idom := d.idom
+	idom[0] = 0
+	intersect := func(a, b int32) int32 {
 		for a != b {
 			for order[a] > order[b] {
 				a = idom[a]
@@ -72,28 +96,26 @@ func ComputeDominators(f *Func) *Dominators {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if idom[p] == nil {
+		for _, i := range rpo[1:] {
+			newIdom := int32(-1)
+			for _, p := range d.blocks[i].Preds {
+				j := d.pos(p)
+				if j < 0 || idom[j] < 0 {
 					continue
 				}
-				if newIdom == nil {
-					newIdom = p
+				if newIdom < 0 {
+					newIdom = int32(j)
 				} else {
-					newIdom = intersect(newIdom, p)
+					newIdom = intersect(newIdom, int32(j))
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom >= 0 && idom[i] != newIdom {
+				idom[i] = newIdom
 				changed = true
 			}
 		}
 	}
-	return &Dominators{idom: idom}
+	return d
 }
 
 // Loop is a natural loop.
@@ -108,42 +130,50 @@ type Loop struct {
 	Children []*Loop
 	// Depth is the nesting depth (outermost loops have depth 1).
 	Depth int
-
-	blockSet map[*Block]bool
 }
 
 // Contains reports whether b belongs to the loop body.
-func (l *Loop) Contains(b *Block) bool { return l.blockSet[b] }
+func (l *Loop) Contains(b *Block) bool { return slices.Contains(l.Blocks, b) }
 
 // FindLoops detects the natural loops of f and returns them sorted
 // innermost-first (deepest nesting depth first), the order in which the
-// paper's cyclic heuristics analyze them.
+// paper's cyclic heuristics analyze them. dom must be f's current
+// dominator tree; loop bodies are bitsets over its block positions.
 func FindLoops(f *Func, dom *Dominators) []*Loop {
 	var loops []*Loop
-	byHeader := make(map[*Block]*Loop)
+	var bodies [][]uint64 // bodies[k] is loops[k]'s block set
+	words := (len(dom.blocks) + 63) / 64
+	has := func(set []uint64, i int) bool { return set[i>>6]&(1<<(uint(i)&63)) != 0 }
+	byHeader := make([]int32, len(dom.blocks)) // position -> loop index + 1
+	var stack []*Block
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
 			if !dom.Dominates(s, b) {
 				continue // not a back edge
 			}
-			header := s
-			l := byHeader[header]
-			if l == nil {
-				l = &Loop{Header: header, blockSet: map[*Block]bool{header: true}}
-				l.Blocks = append(l.Blocks, header)
-				byHeader[header] = l
-				loops = append(loops, l)
+			h := dom.pos(s)
+			if h < 0 {
+				continue // s was not numbered by ComputeCFG
 			}
+			if byHeader[h] == 0 {
+				body := make([]uint64, words)
+				body[h>>6] |= 1 << (uint(h) & 63)
+				loops = append(loops, &Loop{Header: s, Blocks: []*Block{s}})
+				bodies = append(bodies, body)
+				byHeader[h] = int32(len(loops))
+			}
+			l, body := loops[byHeader[h]-1], bodies[byHeader[h]-1]
 			// Collect the body: predecessors reachable backwards
 			// from the latch without passing the header.
-			stack := []*Block{b}
+			stack = append(stack[:0], b)
 			for len(stack) > 0 {
 				n := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.blockSet[n] {
+				i := dom.pos(n)
+				if i < 0 || has(body, i) {
 					continue
 				}
-				l.blockSet[n] = true
+				body[i>>6] |= 1 << (uint(i) & 63)
 				l.Blocks = append(l.Blocks, n)
 				stack = append(stack, n.Preds...)
 			}
@@ -151,9 +181,10 @@ func FindLoops(f *Func, dom *Dominators) []*Loop {
 	}
 	// Establish nesting: loop A is nested in B if A's header is in B's
 	// body and A != B; the parent is the smallest such B.
-	for _, a := range loops {
-		for _, b := range loops {
-			if a == b || !b.blockSet[a.Header] {
+	for ai, a := range loops {
+		h := dom.pos(a.Header)
+		for bi, b := range loops {
+			if ai == bi || !has(bodies[bi], h) {
 				continue
 			}
 			if a.Parent == nil || len(b.Blocks) < len(a.Parent.Blocks) {

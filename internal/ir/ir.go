@@ -193,22 +193,25 @@ func (i *Instr) HasSideEffects() bool {
 
 // Uses appends every virtual register read by the instruction to dst.
 func (i *Instr) Uses(dst []VReg) []VReg {
-	add := func(o Operand) {
-		if o.Kind == OpndReg {
-			dst = append(dst, o.Reg)
-		}
+	if i.A.Kind == OpndReg {
+		dst = append(dst, i.A.Reg)
 	}
-	add(i.A)
-	add(i.B)
+	if i.B.Kind == OpndReg {
+		dst = append(dst, i.B.Reg)
+	}
 	switch i.Op {
 	case OpLoad, OpStore:
-		add(i.Base)
+		if i.Base.Kind == OpndReg {
+			dst = append(dst, i.Base.Reg)
+		}
 		if i.Index != NoVReg {
 			dst = append(dst, i.Index)
 		}
 	case OpCall:
-		for _, a := range i.Args {
-			add(a)
+		for k := range i.Args {
+			if i.Args[k].Kind == OpndReg {
+				dst = append(dst, i.Args[k].Reg)
+			}
 		}
 	}
 	return dst

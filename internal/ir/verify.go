@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -74,8 +75,13 @@ func Verify(m *Module) error {
 }
 
 // VerifyFunc checks one function (see Verify). Returns nil or VerifyErrors.
+//
+// Blocks are addressed by their position in f.Blocks, found through a
+// block-ID table built per call, so every per-block fact lives in a slice
+// and the whole check takes a fixed handful of allocations whatever the
+// function's size or the number of dataflow iterations.
 func VerifyFunc(f *Func) error {
-	v := &verifier{f: f}
+	v := verifier{f: f}
 	v.structure()
 	if len(v.errs) == 0 {
 		// Dataflow assumes structurally sound blocks.
@@ -88,42 +94,133 @@ func VerifyFunc(f *Func) error {
 }
 
 type verifier struct {
-	f     *Func
-	reach map[*Block]bool
-	errs  VerifyErrors
+	f    *Func
+	errs VerifyErrors
+
+	// pos maps a block ID to the block's position in f.Blocks (-1: none).
+	// It is nil when the IDs are not distinct values in [0, nblocks) —
+	// only hand-built IR does that — and index then scans f.Blocks.
+	pos []int32
+	// reach and registered are indexed by position. reach marks blocks
+	// reachable from the entry along terminator targets; registered marks
+	// blocks whose recorded Succs have the implied length (checkEdges).
+	reach, registered []bool
+	// The implied CFG: edges p->s from every reachable p whose terminator
+	// targets all lie in f. succ[2p] and succ[2p+1] hold p's implied
+	// successors (-1: none); the implied predecessors of the block at
+	// position s are preds[predOff[s]:predOff[s+1]], in source order.
+	succ, predOff, preds []int32
+	// want and got are zeroed per-position edge counters (checkEdges).
+	want, got []int32
+}
+
+// index returns b's position in f.Blocks, or -1 when b is not one of f's
+// blocks. Membership is pointer identity; the ID only finds the candidate.
+func (v *verifier) index(b *Block) int {
+	if b == nil {
+		return -1
+	}
+	if v.pos == nil {
+		for i, x := range v.f.Blocks {
+			if x == b {
+				return i
+			}
+		}
+		return -1
+	}
+	if b.ID >= 0 && b.ID < len(v.pos) {
+		if i := v.pos[b.ID]; i >= 0 && v.f.Blocks[i] == b {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// implied returns the positions of the successors b's terminator implies:
+// both arms of a branch, or a jump's target, when every target is a block
+// of f; none otherwise.
+func (v *verifier) implied(b *Block) (s0, s1 int32) {
+	s0, s1 = -1, -1
+	t := b.Term()
+	if t == nil {
+		return
+	}
+	switch t.Op {
+	case OpBr:
+		if th, el := v.index(t.Then), v.index(t.Else); th >= 0 && el >= 0 {
+			s0, s1 = int32(th), int32(el)
+		}
+	case OpJmp:
+		s0 = int32(v.index(t.To))
+	}
+	return
+}
+
+// succs returns the implied successors of the block at position j.
+func (v *verifier) succs(j int) []int32 {
+	s := v.succ[2*j : 2*j+2]
+	switch {
+	case s[0] < 0:
+		return s[:0]
+	case s[1] < 0:
+		return s[:1]
+	}
+	return s
 }
 
 // computeReach walks the terminator-implied graph from the entry block.
 // Targets outside f.Blocks are not followed (they are reported as dangling
 // references by the structure pass).
-func (v *verifier) computeReach(inFunc map[*Block]bool) {
-	v.reach = make(map[*Block]bool, len(v.f.Blocks))
-	if len(v.f.Blocks) == 0 {
-		return
-	}
-	stack := []*Block{v.f.Blocks[0]}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v.reach[b] {
-			continue
+func (v *verifier) computeReach(stack []int32) {
+	v.reach[0] = true
+	stack = append(stack, 0)
+	push := func(b *Block) {
+		if i := v.index(b); i >= 0 && !v.reach[i] {
+			v.reach[i] = true
+			stack = append(stack, int32(i))
 		}
-		v.reach[b] = true
+	}
+	for len(stack) > 0 {
+		b := v.f.Blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
 		if t := b.Term(); t != nil {
 			switch t.Op {
 			case OpBr:
-				for _, s := range []*Block{t.Then, t.Else} {
-					if s != nil && inFunc[s] && !v.reach[s] {
-						stack = append(stack, s)
-					}
-				}
+				push(t.Then)
+				push(t.Else)
 			case OpJmp:
-				if t.To != nil && inFunc[t.To] && !v.reach[t.To] {
-					stack = append(stack, t.To)
-				}
+				push(t.To)
 			}
 		}
 	}
+}
+
+// computePreds records every reachable block's implied successors and
+// builds their transpose (predOff/preds) by counting: in-degrees first,
+// then a fill in source-position order.
+func (v *verifier) computePreds() {
+	off := v.predOff
+	for j, b := range v.f.Blocks {
+		v.succ[2*j], v.succ[2*j+1] = -1, -1
+		if v.reach[j] {
+			v.succ[2*j], v.succ[2*j+1] = v.implied(b)
+			for _, t := range v.succs(j) {
+				off[t+1]++
+			}
+		}
+	}
+	for j := 1; j < len(off); j++ {
+		off[j] += off[j-1]
+	}
+	for j := range v.f.Blocks {
+		for _, t := range v.succs(j) {
+			v.preds[off[t]] = int32(j)
+			off[t]++
+		}
+	}
+	// Each off[t] now holds the end of t's run, i.e. the start of t+1's.
+	copy(off[1:], off)
+	off[0] = 0
 }
 
 func (v *verifier) failf(b *Block, inst int, format string, args ...any) {
@@ -145,18 +242,39 @@ func (v *verifier) structure() {
 	if f.NParams > f.nvregs {
 		v.failf(nil, -1, "NParams %d exceeds NumVRegs %d", f.NParams, f.nvregs)
 	}
-	inFunc := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
+	// One slab for the position-indexed integers: pos, succ, predOff,
+	// preds (at most two per block), want, got and the reachability stack.
+	n := len(f.Blocks)
+	ints := make([]int32, f.nblocks+2*n+(n+1)+2*n+2*n+n)
+	v.pos, ints = ints[:f.nblocks], ints[f.nblocks:]
+	v.succ, ints = ints[:2*n], ints[2*n:]
+	v.predOff, ints = ints[:n+1], ints[n+1:]
+	v.preds, ints = ints[:2*n], ints[2*n:]
+	v.want, v.got, ints = ints[:n], ints[n:2*n], ints[2*n:]
+	flags := make([]bool, 2*n)
+	v.reach, v.registered = flags[:n], flags[n:]
+	for i := range v.pos {
+		v.pos[i] = -1
+	}
+	for i, b := range f.Blocks {
 		if b == nil {
 			v.failf(nil, -1, "nil block in block list")
 			return
 		}
-		inFunc[b] = true
+		if v.pos == nil {
+			continue
+		}
+		if b.ID < 0 || b.ID >= len(v.pos) || v.pos[b.ID] >= 0 {
+			v.pos = nil
+			continue
+		}
+		v.pos[b.ID] = int32(i)
 	}
-	v.computeReach(inFunc)
+	v.computeReach(ints[:0])
+	v.computePreds()
 	hasEdges := false
-	for _, b := range f.Blocks {
-		if !v.reach[b] {
+	for j, b := range f.Blocks {
+		if !v.reach[j] {
 			continue
 		}
 		if len(b.Succs) > 0 || len(b.Preds) > 0 {
@@ -174,21 +292,21 @@ func (v *verifier) structure() {
 			if in.IsTerminator() && i != len(b.Insts)-1 {
 				v.failf(b, i, "terminator %s not at end of block", in.Op)
 			}
-			v.checkInstr(b, i, in, inFunc)
+			v.checkInstr(b, i, in)
 		}
 		if t := b.Insts[len(b.Insts)-1]; !t.IsTerminator() {
 			v.failf(b, len(b.Insts)-1, "block does not end in a terminator (last op %s)", t.Op)
 		}
 	}
 	if hasEdges {
-		v.checkEdges(inFunc)
+		v.checkEdges()
 	}
 }
 
 // checkInstr validates one instruction's operands and shape.
-func (v *verifier) checkInstr(b *Block, i int, in *Instr, inFunc map[*Block]bool) {
-	v.checkOperand(b, i, in.A, "A")
-	v.checkOperand(b, i, in.B, "B")
+func (v *verifier) checkInstr(b *Block, i int, in *Instr) {
+	v.checkOperand(b, i, &in.A, "A", -1)
+	v.checkOperand(b, i, &in.B, "B", -1)
 	if in.Dst != NoVReg && !v.validReg(in.Dst) {
 		v.failf(b, i, "destination v%d out of range [0,%d)", in.Dst, v.f.nvregs)
 	}
@@ -202,7 +320,7 @@ func (v *verifier) checkInstr(b *Block, i int, in *Instr, inFunc map[*Block]bool
 		if in.Base.Kind == OpndNone {
 			v.failf(b, i, "memory access with no base operand")
 		}
-		v.checkOperand(b, i, in.Base, "Base")
+		v.checkOperand(b, i, &in.Base, "Base", -1)
 		if in.Index != NoVReg && !v.validReg(in.Index) {
 			v.failf(b, i, "index v%d out of range [0,%d)", in.Index, v.f.nvregs)
 		}
@@ -213,24 +331,24 @@ func (v *verifier) checkInstr(b *Block, i int, in *Instr, inFunc map[*Block]bool
 		if in.Callee == "" {
 			v.failf(b, i, "call with empty callee")
 		}
-		for k, a := range in.Args {
-			v.checkOperand(b, i, a, fmt.Sprintf("arg %d", k))
+		for k := range in.Args {
+			v.checkOperand(b, i, &in.Args[k], "arg", k)
 		}
 	case OpBr:
 		if in.Then == nil || in.Else == nil {
 			v.failf(b, i, "branch with nil target")
 		} else {
-			if !inFunc[in.Then] {
+			if v.index(in.Then) < 0 {
 				v.failf(b, i, "branch Then targets block B%d not in function", in.Then.ID)
 			}
-			if !inFunc[in.Else] {
+			if v.index(in.Else) < 0 {
 				v.failf(b, i, "branch Else targets block B%d not in function", in.Else.ID)
 			}
 		}
 	case OpJmp:
 		if in.To == nil {
 			v.failf(b, i, "jump with nil target")
-		} else if !inFunc[in.To] {
+		} else if v.index(in.To) < 0 {
 			v.failf(b, i, "jump targets block B%d not in function", in.To.ID)
 		}
 	case OpCopy:
@@ -249,17 +367,33 @@ func (v *verifier) checkInstr(b *Block, i int, in *Instr, inFunc map[*Block]bool
 
 func (v *verifier) validReg(r VReg) bool { return r >= 0 && int(r) < v.f.nvregs }
 
-func (v *verifier) checkOperand(b *Block, i int, o Operand, what string) {
+// operandOK reports whether o is well-kinded and in range.
+func (v *verifier) operandOK(o *Operand) bool {
 	switch o.Kind {
 	case OpndNone, OpndConst, OpndSym:
+		return true
 	case OpndReg:
-		if !v.validReg(o.Reg) {
-			v.failf(b, i, "operand %s: v%d out of range [0,%d)", what, o.Reg, v.f.nvregs)
-		}
+		return v.validReg(o.Reg)
 	case OpndFrame:
-		if o.Slot < 0 || o.Slot >= len(v.f.Slots) {
-			v.failf(b, i, "operand %s: frame slot %d out of range [0,%d)", what, o.Slot, len(v.f.Slots))
-		}
+		return o.Slot >= 0 && o.Slot < len(v.f.Slots)
+	}
+	return false
+}
+
+// checkOperand reports a malformed operand. what names the field; a call
+// argument (arg >= 0) is named "arg N", formatted only on a violation.
+func (v *verifier) checkOperand(b *Block, i int, o *Operand, what string, arg int) {
+	if v.operandOK(o) {
+		return
+	}
+	if arg >= 0 {
+		what = fmt.Sprintf("%s %d", what, arg)
+	}
+	switch o.Kind {
+	case OpndReg:
+		v.failf(b, i, "operand %s: v%d out of range [0,%d)", what, o.Reg, v.f.nvregs)
+	case OpndFrame:
+		v.failf(b, i, "operand %s: frame slot %d out of range [0,%d)", what, o.Slot, len(v.f.Slots))
 	default:
 		v.failf(b, i, "operand %s: unknown kind %d", what, o.Kind)
 	}
@@ -268,67 +402,96 @@ func (v *verifier) checkOperand(b *Block, i int, o Operand, what string) {
 // checkEdges verifies that the recorded CFG adjacency (when present) agrees
 // with what the terminators imply, and that Preds is the exact transpose of
 // Succs. Only edges between reachable blocks are considered.
-func (v *verifier) checkEdges(inFunc map[*Block]bool) {
-	type edge struct{ from, to *Block }
-	predWant := make(map[edge]int)
-	for _, b := range v.f.Blocks {
-		if !v.reach[b] {
+func (v *verifier) checkEdges() {
+	f := v.f
+	for j, b := range f.Blocks {
+		if !v.reach[j] {
 			continue
 		}
-		var want []*Block
-		if t := b.Term(); t != nil {
-			switch t.Op {
-			case OpBr:
-				if inFunc[t.Then] && inFunc[t.Else] {
-					want = []*Block{t.Then, t.Else}
-				}
-			case OpJmp:
-				if inFunc[t.To] {
-					want = []*Block{t.To}
-				}
-			}
-		}
+		want := v.succs(j)
 		if len(b.Succs) != len(want) {
 			v.failf(b, -1, "recorded %d successors, terminator implies %d", len(b.Succs), len(want))
 			continue
 		}
-		for i := range want {
-			if b.Succs[i] != want[i] {
+		for i, t := range want {
+			if b.Succs[i] != f.Blocks[t] {
 				v.failf(b, -1, "successor %d is B%d, terminator implies B%d",
-					i, b.Succs[i].ID, want[i].ID)
+					i, b.Succs[i].ID, f.Blocks[t].ID)
 			}
 		}
-		for _, s := range want {
-			predWant[edge{b, s}]++
-		}
+		v.registered[j] = true
 	}
-	predGot := make(map[edge]int)
-	for _, b := range v.f.Blocks {
-		if !v.reach[b] {
+	for j, b := range f.Blocks {
+		if !v.reach[j] {
 			continue
 		}
 		for _, p := range b.Preds {
-			if !inFunc[p] {
+			if v.index(p) < 0 {
 				v.failf(b, -1, "predecessor B%d not in function", p.ID)
+			}
+		}
+	}
+	// Count, per target block, the implied edges from each registered
+	// source (want) against the recorded Preds entries from each reachable
+	// source (got). Disagreements are reported in one sweep over the
+	// blocks and spurious predecessors in a second.
+	for sweep := 0; sweep < 2; sweep++ {
+		for j, b := range f.Blocks {
+			implied := v.preds[v.predOff[j]:v.predOff[j+1]]
+			if !v.reach[j] || v.predsMatch(b, implied) {
 				continue
 			}
-			if !v.reach[p] {
-				continue
+			for _, i := range implied {
+				if v.registered[i] {
+					v.want[i]++
+				}
 			}
-			predGot[edge{p, b}]++
+			for _, p := range b.Preds {
+				if i := v.index(p); i >= 0 && v.reach[i] {
+					v.got[i]++
+				}
+			}
+			if sweep == 0 {
+				for _, i := range implied {
+					if w, g := v.want[i], v.got[i]; w > 0 && w != g {
+						v.failf(b, -1, "predecessor list disagrees with edges from B%d (%d recorded, %d implied)",
+							f.Blocks[i].ID, g, w)
+						v.want[i] = g // once per source
+					}
+				}
+			} else {
+				for _, p := range b.Preds {
+					if i := v.index(p); i >= 0 && v.want[i] == 0 && v.got[i] > 0 {
+						v.failf(b, -1, "spurious predecessor B%d (%d recorded, no such edge)", p.ID, v.got[i])
+						v.got[i] = 0 // once per source
+					}
+				}
+			}
+			for _, i := range implied {
+				v.want[i], v.got[i] = 0, 0
+			}
+			for _, p := range b.Preds {
+				if i := v.index(p); i >= 0 {
+					v.want[i], v.got[i] = 0, 0
+				}
+			}
 		}
 	}
-	for e, n := range predWant {
-		if predGot[e] != n {
-			v.failf(e.to, -1, "predecessor list disagrees with edges from B%d (%d recorded, %d implied)",
-				e.from.ID, predGot[e], n)
+}
+
+// predsMatch reports whether b's recorded Preds are exactly its implied
+// predecessors, in order and all registered — the state ComputeCFG leaves
+// behind — so that no edge count into b can disagree.
+func (v *verifier) predsMatch(b *Block, implied []int32) bool {
+	if len(b.Preds) != len(implied) {
+		return false
+	}
+	for k, i := range implied {
+		if b.Preds[k] != v.f.Blocks[i] || !v.registered[i] {
+			return false
 		}
 	}
-	for e, n := range predGot {
-		if predWant[e] == 0 {
-			v.failf(e.to, -1, "spurious predecessor B%d (%d recorded, no such edge)", e.from.ID, n)
-		}
-	}
+	return true
 }
 
 // defBeforeUse runs a forward "definitely assigned" dataflow over the CFG
@@ -336,111 +499,76 @@ func (v *verifier) checkEdges(inFunc map[*Block]bool) {
 // any assignment. Parameters are defined on entry. Unreachable blocks are
 // skipped: passes are entitled to leave them stale until the next
 // ComputeCFG prunes them.
+//
+// The sets are rows of one flat bitset: in[j] is the set assigned on entry
+// to the block at position j and gen[j] the set it assigns, so a block's
+// exit set is in|gen and needs no storage of its own.
 func (v *verifier) defBeforeUse() {
 	f := v.f
-	n := f.nvregs
-	if n == 0 {
+	if f.nvregs == 0 {
 		return
 	}
-	words := (n + 63) / 64
-
-	succs := func(b *Block) []*Block {
-		t := b.Term()
-		if t == nil {
-			return nil
-		}
-		switch t.Op {
-		case OpBr:
-			return []*Block{t.Then, t.Else}
-		case OpJmp:
-			return []*Block{t.To}
-		}
-		return nil
-	}
-
-	// Reachability was computed by the structure pass.
-	reach := v.reach
+	w := (f.nvregs + 63) / 64
+	n := len(f.Blocks)
+	bits := make([]uint64, (2*n+1)*w)
+	in := func(j int) []uint64 { return bits[j*w : (j+1)*w] }
+	gen := func(j int) []uint64 { return in(n + j) }
+	cur := in(2 * n) // scratch row
 
 	get := func(s []uint64, r VReg) bool { return s[r>>6]&(1<<(uint(r)&63)) != 0 }
 	set := func(s []uint64, r VReg) { s[r>>6] |= 1 << (uint(r) & 63) }
 
-	// in[b] = intersection over reachable preds of out[pred]; entry gets
-	// the parameters. Initialize non-entry to "all defined" (top) so the
-	// intersection converges downward.
-	in := make(map[*Block][]uint64, len(f.Blocks))
-	out := make(map[*Block][]uint64, len(f.Blocks))
-	top := make([]uint64, words)
-	for i := range top {
-		top[i] = ^uint64(0)
-	}
-	for _, b := range f.Blocks {
-		if !reach[b] {
-			continue
-		}
-		in[b] = append([]uint64(nil), top...)
-		out[b] = append([]uint64(nil), top...)
-	}
-	entryIn := make([]uint64, words)
+	// The entry gets the parameters; every other reachable block starts at
+	// "all defined" (top) so the intersection converges downward.
 	for p := 0; p < f.NParams; p++ {
-		set(entryIn, VReg(p))
+		set(in(0), VReg(p))
 	}
-	copy(in[f.Blocks[0]], entryIn)
-
-	preds := make(map[*Block][]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		if !reach[b] {
+	for j, b := range f.Blocks {
+		if !v.reach[j] {
 			continue
 		}
-		for _, s := range succs(b) {
-			preds[s] = append(preds[s], b)
+		if j != 0 {
+			for k := range in(j) {
+				in(j)[k] = ^uint64(0)
+			}
 		}
-	}
-
-	transfer := func(b *Block, defined []uint64) {
+		g := gen(j)
 		for _, inst := range b.Insts {
 			if inst.Dst != NoVReg && v.validReg(inst.Dst) {
-				set(defined, inst.Dst)
+				set(g, inst.Dst)
 			}
 		}
 	}
 
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			if !reach[b] {
+		for j := 1; j < n; j++ {
+			if !v.reach[j] {
 				continue
 			}
-			newIn := append([]uint64(nil), top...)
-			if b == f.Blocks[0] {
-				copy(newIn, entryIn)
-			} else {
-				for _, p := range preds[b] {
-					for i := range newIn {
-						newIn[i] &= out[p][i]
-					}
+			for k := range cur {
+				cur[k] = ^uint64(0)
+			}
+			for _, p := range v.preds[v.predOff[j]:v.predOff[j+1]] {
+				pin, pgen := in(int(p)), gen(int(p))
+				for k := range cur {
+					cur[k] &= pin[k] | pgen[k]
 				}
 			}
-			newOut := append([]uint64(nil), newIn...)
-			transfer(b, newOut)
-			same := true
-			for i := range newIn {
-				if newIn[i] != in[b][i] || newOut[i] != out[b][i] {
-					same = false
-				}
-			}
-			if !same {
-				in[b], out[b] = newIn, newOut
+			if dst := in(j); !slices.Equal(cur, dst) {
+				copy(dst, cur)
 				changed = true
 			}
 		}
 	}
 
-	var scratch []VReg
-	for _, b := range f.Blocks {
-		if !reach[b] {
+	scratch := make([]VReg, 0, 8)
+	for j, b := range f.Blocks {
+		if !v.reach[j] {
 			continue
 		}
-		defined := append([]uint64(nil), in[b]...)
+		defined := cur
+		copy(defined, in(j))
 		for i, inst := range b.Insts {
 			scratch = inst.Uses(scratch[:0])
 			for _, u := range scratch {

@@ -45,10 +45,10 @@ type basicIV struct {
 	pos  int       // index of inc within blk.Insts
 }
 
-func findBasicIVs(l *ir.Loop) []basicIV {
+func findBasicIVs(f *ir.Func, l *ir.Loop) []basicIV {
 	// Count in-loop definitions per register and remember single defs.
-	defs := make(map[ir.VReg]int)
-	singleIn := make(map[ir.VReg]*ir.Instr)
+	defs := make([]int32, f.NumVRegs())
+	singleIn := make([]*ir.Instr, f.NumVRegs())
 	for _, b := range l.Blocks {
 		for _, in := range b.Insts {
 			if in.Dst != ir.NoVReg {
@@ -56,7 +56,7 @@ func findBasicIVs(l *ir.Loop) []basicIV {
 				if defs[in.Dst] == 1 {
 					singleIn[in.Dst] = in
 				} else {
-					delete(singleIn, in.Dst)
+					singleIn[in.Dst] = nil
 				}
 			}
 		}
@@ -104,7 +104,7 @@ func findBasicIVs(l *ir.Loop) []basicIV {
 }
 
 func reduceLoop(f *ir.Func, l *ir.Loop) bool {
-	ivs := findBasicIVs(l)
+	ivs := findBasicIVs(f, l)
 	if len(ivs) == 0 {
 		return false
 	}

@@ -35,12 +35,12 @@ type Options struct {
 	Rounds int
 }
 
-// defCounts returns, for each virtual register, how many instructions
-// define it, and a pointer to its unique defining instruction when the
-// count is exactly one.
-func defCounts(f *ir.Func) (counts map[ir.VReg]int, single map[ir.VReg]*ir.Instr) {
-	counts = make(map[ir.VReg]int)
-	single = make(map[ir.VReg]*ir.Instr)
+// defCounts returns, indexed by virtual register, how many instructions
+// define it (parameters count one definition, at entry) and its unique
+// defining instruction when that count is exactly one (nil otherwise).
+func defCounts(f *ir.Func) (counts []int32, single []*ir.Instr) {
+	counts = make([]int32, f.NumVRegs())
+	single = make([]*ir.Instr, f.NumVRegs())
 	for _, b := range f.Blocks {
 		for _, in := range b.Insts {
 			if in.Dst == ir.NoVReg {
@@ -50,15 +50,14 @@ func defCounts(f *ir.Func) (counts map[ir.VReg]int, single map[ir.VReg]*ir.Instr
 			if counts[in.Dst] == 1 {
 				single[in.Dst] = in
 			} else {
-				delete(single, in.Dst)
+				single[in.Dst] = nil
 			}
 		}
 	}
 	// Parameters are defined at entry.
 	for p := 0; p < f.NParams; p++ {
-		v := ir.VReg(p)
-		counts[v]++
-		delete(single, v)
+		counts[p]++
+		single[p] = nil
 	}
 	return counts, single
 }
@@ -107,9 +106,9 @@ func ConstProp(f *ir.Func) bool {
 	// Global: single-def registers whose definition is a constant copy.
 	globalConst := make(map[ir.VReg]int64)
 	for v, in := range single {
-		if in.Op == ir.OpCopy {
+		if in != nil && in.Op == ir.OpCopy {
 			if c, ok := in.A.IsConst(); ok {
-				globalConst[v] = c
+				globalConst[ir.VReg(v)] = c
 			}
 		}
 	}
@@ -304,9 +303,12 @@ func CopyProp(f *ir.Func) bool {
 		}
 		return ir.Operand{}, false
 	}
-	for v := range single {
-		if o, ok := resolve(v); ok {
-			globalCopy[v] = o
+	for v, in := range single {
+		if in == nil {
+			continue
+		}
+		if o, ok := resolve(ir.VReg(v)); ok {
+			globalCopy[ir.VReg(v)] = o
 		}
 	}
 	var scratch []ir.VReg
@@ -387,13 +389,17 @@ func CoalesceCopies(f *ir.Func) bool {
 
 // DeadCodeElim removes pure instructions whose results are never used.
 func DeadCodeElim(f *ir.Func) bool {
-	used := make(map[ir.VReg]bool)
+	used := make([]bool, f.NumVRegs())
 	var scratch []ir.VReg
 	// Transitively mark uses, seeded by side-effecting instructions.
+	// Sweeping backwards meets most uses before their definitions, so
+	// few sweeps reach the fixpoint.
 	for again := true; again; {
 		again = false
-		for _, b := range f.Blocks {
-			for _, in := range b.Insts {
+		for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
+			insts := f.Blocks[bi].Insts
+			for ii := len(insts) - 1; ii >= 0; ii-- {
+				in := insts[ii]
 				live := in.HasSideEffects() || in.IsTerminator() ||
 					(in.Dst != ir.NoVReg && used[in.Dst]) ||
 					in.Op == ir.OpCall

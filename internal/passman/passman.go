@@ -258,7 +258,10 @@ func (m *Manager) runGroup(g *Group, st *State) error {
 					return fmt.Errorf("pass %s (in %s, func %s): %w", mem.Name, g.Name, f.Name, err)
 				}
 				if m.Verify {
-					if err := ir.VerifyFunc(f); err != nil {
+					t0 := time.Now()
+					err := ir.VerifyFunc(f)
+					m.recordVerify(time.Since(t0))
+					if err != nil {
 						return fmt.Errorf("after pass %s (in %s): %w", mem.Name, g.Name, err)
 					}
 				}
@@ -285,7 +288,10 @@ func (m *Manager) verifyModule(st *State, after string) error {
 	if !m.Verify || st.Module == nil {
 		return nil
 	}
-	if err := ir.Verify(st.Module); err != nil {
+	t0 := time.Now()
+	err := ir.Verify(st.Module)
+	m.recordVerify(time.Since(t0))
+	if err != nil {
 		return fmt.Errorf("after pass %s: %w", after, err)
 	}
 	return nil
@@ -300,6 +306,12 @@ func (m *Manager) dump(pass string, st *State) {
 		text += f.String()
 	}
 	m.Dumps = append(m.Dumps, Dump{Pass: pass, Text: text})
+}
+
+func (m *Manager) recordVerify(wall time.Duration) {
+	if m.Stats != nil {
+		m.Stats.VerifyWallNS += wall.Nanoseconds()
+	}
 }
 
 func (m *Manager) record(name string, kind Kind, changed bool, before, after int, wall time.Duration) {

@@ -177,6 +177,17 @@ func TestManagerCollectsStats(t *testing.T) {
 			t.Errorf("no stats for pass %s", want)
 		}
 	}
+	if stats.VerifyWallNS <= 0 {
+		t.Errorf("VerifyWallNS = %d with verification on, want > 0", stats.VerifyWallNS)
+	}
+	var off passman.Stats
+	mgr = passman.Manager{Stats: &off}
+	if err := mgr.Run(passman.ForLevel(passman.O2, true), &passman.State{Module: compile(t, tinyProg)}); err != nil {
+		t.Fatal(err)
+	}
+	if off.VerifyWallNS != 0 {
+		t.Errorf("VerifyWallNS = %d with verification off, want 0", off.VerifyWallNS)
+	}
 
 	var buf bytes.Buffer
 	doc := passman.NewStatsDoc("tiny", "o2", &stats)

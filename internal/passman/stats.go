@@ -38,6 +38,9 @@ type Stats struct {
 	byN   map[string]*PassStat
 	// TotalWallNS is the wall time summed over every pass run.
 	TotalWallNS int64
+	// VerifyWallNS is the wall time spent in ir.Verify and ir.VerifyFunc
+	// between passes; it is not part of any pass's wall time.
+	VerifyWallNS int64
 }
 
 func (s *Stats) record(name string, kind Kind, changed bool, before, after int, wall time.Duration) {
